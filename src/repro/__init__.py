@@ -116,7 +116,5 @@ def simulate(trace, policy, config=None):
     -------
     SimulationResult
     """
-    from repro.pipeline.vector import make_core
-
-    core = make_core(config or CoreConfig(), policy)
+    core = OutOfOrderCore(config or CoreConfig(), policy)
     return core.run(trace)

@@ -336,6 +336,15 @@ def _claim_next_ticket(partitions: Sequence[str], claims_dir: str,
     return None
 
 
+def _claim_present(claims_dir: str, index: int, attempt: int) -> bool:
+    """Whether a claim on attempt ``attempt`` of job ``index`` exists now."""
+    prefix = f"{index:08d}.{attempt}."
+    try:
+        return any(name.startswith(prefix) for name in os.listdir(claims_dir))
+    except OSError:
+        return False
+
+
 def _cluster_worker_main(slot: int, workers: int, spool: str, fn,
                          scope: str, deadline_active: bool) -> None:
     """Cluster worker loop: claim ticket -> run job -> publish result.
@@ -624,15 +633,21 @@ class LocalClusterBackend(ExecutionBackend):
                         # removed) but the blob was lost — quarantined,
                         # a vanished write, or stranded in the worker's
                         # in-memory fallback.  Retry through the spool,
-                        # inline as the last resort.
-                        claim = claims.get(state.job.index)
-                        claim_active = (claim is not None
-                                        and claim[1] == state.attempt)
-                        if (not claim_active and state.ticket_path is not None
-                                and not os.path.exists(state.ticket_path)):
+                        # inline as the last resort.  The claim listing
+                        # above may predate the claim, so the ticket is
+                        # checked first and the claim looked up afresh:
+                        # a vanished ticket is either a live claim or a
+                        # published result.
+                        if (state.ticket_path is None
+                                or os.path.exists(state.ticket_path)
+                                or _claim_present(claims_dir, state.job.index,
+                                                  state.attempt)):
+                            continue
+                        message = results_store.get(self._result_key(state))
+                        if message is None:
                             yield from retry_or_inline(
                                 state, "lost", "result blob lost in spool")
-                        continue
+                            continue
                     status, value, delta = message
                     # Worker deltas (steals, job faults, store repairs)
                     # land in the global counters here; the final

@@ -3,30 +3,15 @@
 With SVW-filtered re-execution the load queue needs no address CAM
 (Section 2, Figure 2): it is an age-ordered buffer holding, per in-flight
 load, the executed value and the SVW sequence number used by the
-re-execution filter.  The timing model keeps most per-load state in its
-in-flight records; this class provides the capacity (structural hazard)
-model plus the per-entry fields a hardware LQ would hold, so occupancy and
-SVW bookkeeping are testable in isolation.
+re-execution filter.  The core's run loop (:mod:`repro.pipeline._vector_loop`)
+keeps that per-load state with the rest of its in-flight arrays and models
+the queue's occupancy itself; this class holds the capacity and the
+activity counters the loop writes back after every run.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
-
-
-@dataclass(slots=True)
-class LoadQueueEntry:
-    """One in-flight load."""
-
-    seq: int
-    pc: int
-    addr: Optional[int] = None
-    size: int = 0
-    value: Optional[int] = None
-    svw_ssn: int = 0
-    forwarded: bool = False
 
 
 @dataclass(slots=True)
@@ -36,7 +21,6 @@ class LoadQueueStats:
     allocations: int = 0
     releases: int = 0
     squashes: int = 0
-    full_stalls: int = 0
 
 
 class LoadQueue:
@@ -47,64 +31,3 @@ class LoadQueue:
             raise ValueError("LQ size must be positive")
         self.size = size
         self.stats = LoadQueueStats()
-        self._entries: Deque[LoadQueueEntry] = deque()
-        self._by_seq: Dict[int, LoadQueueEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._entries)
-
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.size
-
-    def allocate(self, seq: int, pc: int) -> LoadQueueEntry:
-        """Allocate an entry for a renamed load (program order)."""
-        if self.is_full():
-            raise RuntimeError("load queue overflow; caller must check is_full()")
-        if self._entries and seq <= self._entries[-1].seq:
-            raise ValueError("loads must be allocated in program order")
-        entry = LoadQueueEntry(seq=seq, pc=pc)
-        self._entries.append(entry)
-        self._by_seq[seq] = entry
-        self.stats.allocations += 1
-        return entry
-
-    def record_execution(self, seq: int, addr: int, size: int, value: int,
-                         svw_ssn: int, forwarded: bool) -> None:
-        """Fill in the executed address/value/SVW fields for a load."""
-        entry = self._by_seq.get(seq)
-        if entry is None:
-            raise KeyError(f"load seq {seq} is not in the LQ")
-        entry.addr = addr
-        entry.size = size
-        entry.value = value
-        entry.svw_ssn = svw_ssn
-        entry.forwarded = forwarded
-
-    def get(self, seq: int) -> Optional[LoadQueueEntry]:
-        return self._by_seq.get(seq)
-
-    def release(self, seq: int) -> LoadQueueEntry:
-        """Load commit: remove the oldest entry (must have sequence ``seq``)."""
-        if not self._entries:
-            raise RuntimeError("release from an empty load queue")
-        entry = self._entries[0]
-        if entry.seq != seq:
-            raise ValueError(f"loads must commit in order: head seq {entry.seq}, got {seq}")
-        self._entries.popleft()
-        del self._by_seq[seq]
-        self.stats.releases += 1
-        return entry
-
-    def squash_younger(self, seq: int) -> int:
-        """Remove all entries with sequence number greater than ``seq``."""
-        removed = 0
-        while self._entries and self._entries[-1].seq > seq:
-            entry = self._entries.pop()
-            del self._by_seq[entry.seq]
-            removed += 1
-            self.stats.squashes += 1
-        return removed

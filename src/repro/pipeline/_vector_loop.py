@@ -1,15 +1,12 @@
-"""The vector kernel's fused run loop (struct-of-arrays dynamic state).
+"""The detailed core's run loop (struct-of-arrays dynamic state).
 
-This module is the pure-Python reference implementation of the ``vector``
-detailed-core kernel (:mod:`repro.pipeline.vector`) and the compilation unit
-of the optional ``compiled`` kernel (``tools/build_kernel.py`` builds it —
-via Cython or mypyc, whichever is installed — into the native extension
-``repro.pipeline._kernel`` exporting the same :func:`run_core_loop`).
+:meth:`repro.pipeline.core.OutOfOrderCore.run` binds the trace and assembles
+the result; :func:`run_core_loop` here owns every cycle in between.
 
 Design:
 
-* **Array-per-field dynamic state.**  The per-uop ``_Inflight`` object of
-  the object kernel is replaced by parallel arrays indexed by *in-flight
+* **Array-per-field dynamic state.**  In-flight instructions are not
+  objects: their fields live in parallel arrays indexed by *in-flight
   slot*: ``slot = seq & (cap - 1)`` with ``cap`` the power of two at or
   above the ROB size.  In-flight sequence numbers always form a contiguous
   range no wider than the ROB (records live exactly while they sit in the
@@ -23,23 +20,21 @@ Design:
   buckets) could alias the refetched instance of itself.  Every dispatch
   therefore stamps its slot with a fresh token (a global dispatch counter
   shifted over the slot bits); side structures hold tokens, and a held
-  token is treated exactly as the object kernel treats a stale record
-  reference: ignored unless it still matches its slot.  The ready heaps
-  hold plain sequence numbers — age *is* the issue priority — validated
-  against the slot on pop (stale entries purge exactly where the object
-  kernel purges its squashed/issued tuples).
+  token that no longer matches its slot is stale and ignored.  The ready
+  heaps hold plain sequence numbers — age *is* the issue priority —
+  validated against the slot on pop, so squashed or already-issued
+  entries purge lazily at the heap head.
 
 * **One fused pass.**  Dispatch, issue, wakeup, commit, flush, and the
   idle fast-forward are inlined into a single loop with every loop
   invariant (static-plane arrays, config scalars, policy bound methods,
-  queue internals) held in locals, eliminating the per-cycle call frames
-  and ``self`` attribute traffic that dominate the object kernel's
-  profile.
+  queue internals) held in locals, so the per-cycle work pays no call
+  frames or ``self`` attribute traffic of its own.
 
-Bit-identity with the object kernel — every ``SimStats`` counter, every
-policy/predictor interaction, every flush and replay — is the contract,
-enforced by the golden regression (``tests/golden/hotpath_golden.json``),
-the kernel property suite, and the ``BENCH_core.json`` legs.
+Every ``SimStats`` counter, policy/predictor interaction, flush and replay
+is pinned by the golden regression (``tests/golden/hotpath_golden.json``)
+and by the property suite's diff against the frozen seed simulator
+(``benchmarks/legacy_ref/``).
 """
 
 from __future__ import annotations
@@ -58,14 +53,14 @@ from repro.pipeline.stats import SimStats
 def run_core_loop(core, encoded, warmup_committed, stop_committed):
     """Run ``core`` over ``encoded`` to ``stop_committed`` instructions.
 
-    The caller (:meth:`repro.pipeline.vector.VectorCore.run`) has already
+    The caller (:meth:`repro.pipeline.core.OutOfOrderCore.run`) has already
     validated arguments, bound the trace, and warmed the caches; this
     function owns the cycle loop.  On return ``core.stats`` is a fresh
     :class:`SimStats` holding the (possibly warm-up-reset) counters, and
     the scalar machine state (``_cycle``, ``_fetch_seq``, …) is synced
     back to ``core``.  Returns ``(warmup_cycle_offset,
     warmup_instr_offset, warmup_l1_misses, warmup_l2_misses, mlp_base)``
-    for the caller's result assembly, mirroring the object kernel's tail.
+    for the caller's result assembly.
     """
     config = core.config
     policy = core.policy
@@ -116,8 +111,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     deadlock_limit = core.DEADLOCK_LIMIT
 
     # Policy / machine bound methods (bound after any import_state, so
-    # warmed state is what gets captured — same rule as the object kernel's
-    # dispatch closure).
+    # warmed state is what gets captured).
     policy_predict_load = policy.predict_load
     policy_forward = policy.forward
     policy_assumed_latency = policy.assumed_load_latency
@@ -240,8 +234,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     dly_waiters_get = dly_waiters.get
     dly_waiters_pop = dly_waiters.pop
 
-    # Scalar machine state (continues from the core, as the object kernel's
-    # run does when called on a reused core).
+    # Scalar machine state (continues from the core when it is reused).
     cycle = core._cycle
     fetch_seq = core._fetch_seq
     fetch_resume = core._fetch_resume_cycle
@@ -249,7 +242,7 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     iq_occ = core._iq_occupancy
 
     # SimStats counters as locals (written back at the end; zeroed at the
-    # warm-up boundary exactly as the object kernel's stats reset does).
+    # warm-up boundary, committed count excepted).
     stats0 = core.stats
     committed_total = stats0.committed
     c_stores = stats0.committed_stores
@@ -950,7 +943,6 @@ def run_core_loop(core, encoded, warmup_committed, stop_committed):
     core._fetch_seq = fetch_seq
     core._fetch_resume_cycle = fetch_resume
     core._iq_occupancy = iq_occ
-    core._ready_count = ready_count
     ssn_alloc.ssn_rename = ssn_rename
     ssn_alloc.ssn_commit = ssn_commit
     ssn_alloc.wraps = ssn_hw_wraps

@@ -1,71 +1,23 @@
 """Reorder buffer.
 
-The ROB is the in-order window of in-flight instructions.  The timing model
-keeps the rich per-instruction state in its own records; the ROB class
-tracks program order, occupancy (structural stalls), and the head/commit
-interface, and supports squashing everything younger than a given entry on a
-flush.
+The ROB is the in-order window of in-flight instructions.  The window
+itself — program order, commit from the head, squash of everything younger
+than a flushing load — lives in the core's run loop
+(:mod:`repro.pipeline._vector_loop`), which keeps in-flight state in
+struct-of-arrays form.  This class holds the ROB's capacity and the
+counters the loop writes back after every run.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterator, List, TypeVar
-
-T = TypeVar("T")
-
 
 class ReorderBuffer:
-    """Bounded in-order buffer of in-flight instruction records."""
+    """ROB capacity plus allocation and peak-occupancy counters."""
 
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise ValueError("ROB size must be positive")
         self.size = size
-        self._entries: Deque = deque()
+        #: Instructions allocated (squashed re-dispatches included).
         self.allocations = 0
-        self.full_stalls = 0
         self.max_occupancy = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._entries)
-
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.size
-
-    def is_empty(self) -> bool:
-        return not self._entries
-
-    def push(self, record) -> None:
-        """Append a newly renamed instruction (program order)."""
-        if self.is_full():
-            raise RuntimeError("ROB overflow; caller must check is_full()")
-        self._entries.append(record)
-        self.allocations += 1
-        if len(self._entries) > self.max_occupancy:
-            self.max_occupancy = len(self._entries)
-
-    def head(self):
-        """The oldest in-flight instruction, or ``None`` if empty."""
-        return self._entries[0] if self._entries else None
-
-    def pop_head(self):
-        """Remove and return the oldest instruction (commit)."""
-        if not self._entries:
-            raise RuntimeError("pop from an empty ROB")
-        return self._entries.popleft()
-
-    def squash_younger_than(self, seq: int) -> List:
-        """Remove all records with ``record.seq > seq``; returns them
-        youngest-first (the order repair logs must be replayed in)."""
-        squashed: List = []
-        while self._entries and self._entries[-1].seq > seq:
-            squashed.append(self._entries.pop())
-        return squashed
-
-    def __iter__(self) -> Iterator:
-        return iter(self._entries)

@@ -2,7 +2,8 @@
 """Regenerate the frozen hot-path golden numbers.
 
 The goldens pin the *exact* merged counter dictionaries of fixed-seed
-full-detail and sampled runs, so hot-path refactors (static-plane trace
+full-detail runs (on the blocking and on non-blocking MSHR hierarchies) and
+sampled runs, so hot-path refactors (static-plane trace
 encoding, core-loop rework, warming changes) diff against frozen numbers
 rather than against themselves.  Regenerate ONLY when trace content or
 simulator semantics change intentionally:
@@ -28,6 +29,9 @@ FULL_DETAIL_INSTRUCTIONS = 20_000   # crosses the 16384-uop segment boundary
 SAMPLED_WORKLOAD = "vortex"
 SAMPLED_INSTRUCTIONS = 60_000
 SAMPLED_CONFIGS = ("oracle-associative-3", "indexed-3-fwd+dly")
+
+MLP_WORKLOADS = ("vortex", "mcf")
+MLP_CONFIGS = ("indexed-3-fwd+dly", "associative-5-predictive")
 
 
 def _plan():
@@ -59,6 +63,36 @@ def _full_detail() -> dict:
     return out
 
 
+def _mlp() -> dict:
+    from repro.harness.runner import ExperimentSettings, run_workload
+    from repro.memory.hierarchy import MemoryHierarchyConfig
+    from repro.memory.mshr import MLPConfig, PrefetchConfig
+    from repro.pipeline.config import CoreConfig
+    from repro.workloads.suites import build_workload
+
+    hierarchies = {
+        "mshr8": MLPConfig(enabled=True, mshr_entries=8),
+        "mshr16": MLPConfig(enabled=True, mshr_entries=16),
+        "mshr8+pf": MLPConfig(enabled=True, mshr_entries=8,
+                              prefetch=PrefetchConfig(enabled=True)),
+    }
+    out = {}
+    for workload in MLP_WORKLOADS:
+        trace = build_workload(workload, instructions=FULL_DETAIL_INSTRUCTIONS,
+                               seed=1)
+        for label, mlp in hierarchies.items():
+            settings = ExperimentSettings(
+                instructions=FULL_DETAIL_INSTRUCTIONS,
+                core=CoreConfig(memory=MemoryHierarchyConfig(mlp=mlp)))
+            for config in MLP_CONFIGS:
+                record = run_workload(trace, config, settings)
+                out[f"{workload}/{label}/{config}"] = {
+                    "stats": _stats_dict(record.result.stats),
+                    "extra": dict(sorted(record.result.extra.items())),
+                }
+    return out
+
+
 def _sampled(checkpointed: bool) -> dict:
     from repro.harness.runner import ExperimentSettings
     from repro.sampling.driver import run_sampled_workload
@@ -85,6 +119,7 @@ def _sampled(checkpointed: bool) -> dict:
 def main() -> int:
     golden = {
         "full_detail": _full_detail(),
+        "mlp": _mlp(),
         "sampled_bounded": _sampled(checkpointed=False),
         "sampled_checkpointed": _sampled(checkpointed=True),
     }

@@ -7,15 +7,15 @@ against those frozen numbers — not merely against themselves — so a
 representation change that silently shifts any statistic fails here even if
 it is internally self-consistent.
 
-The same runs are additionally executed through the back-compat *object
-path* (materialised :class:`~repro.isa.uop.MicroOp` views), which must stay
-bit-identical to the encoded fast path.
+The same runs are additionally fed as materialised
+:class:`~repro.isa.uop.MicroOp` views (a :class:`~repro.isa.trace.DynamicTrace`),
+which the core interns back onto a static plane: that path must reproduce
+the frozen counters too.
 
-The full-detail and bounded-sampled goldens are further parametrised over
-the detailed-core kernels (``REPRO_KERNEL``: the per-record ``object``
-loop, the struct-of-arrays ``vector`` loop, and — when
-``tools/build_kernel.py`` has built it — the native ``compiled`` loop):
-every kernel must reproduce the frozen counters bit for bit.
+The ``mlp`` cells pin the non-blocking MSHR hierarchy (8 and 16 entries,
+and 8 entries with the stride prefetcher) on two workloads and two SQ
+policies.  They were frozen while an independent second implementation of
+the core loop still existed and agreed with them bit for bit.
 
 Regenerate the goldens ONLY for intentional trace-content or
 simulator-semantics changes: ``python tests/golden/generate_goldens.py``
@@ -30,17 +30,15 @@ import pytest
 
 from repro.harness.runner import ExperimentSettings, run_workload
 from repro.isa.trace import DynamicTrace
-from repro.pipeline.vector import compiled_kernel_available
+from repro.memory.hierarchy import MemoryHierarchyConfig
+from repro.memory.mshr import MLPConfig, PrefetchConfig
+from repro.pipeline.config import CoreConfig
 from repro.sampling.driver import run_sampled_workload
 from repro.sampling.plan import SamplingPlan
 from repro.workloads.suites import build_workload
 
 GOLDEN_PATH = (Path(__file__).resolve().parent.parent
                / "golden" / "hotpath_golden.json")
-
-#: Every kernel buildable in this environment must hit the same goldens.
-KERNELS = ("object", "vector") + (
-    ("compiled",) if compiled_kernel_available() else ())
 
 FULL_DETAIL_WORKLOADS = ("vortex", "mesa.m")
 FULL_DETAIL_CONFIGS = ("oracle-associative-3", "associative-5-predictive",
@@ -50,6 +48,15 @@ FULL_DETAIL_INSTRUCTIONS = 20_000   # crosses the 16384-uop segment boundary
 SAMPLED_WORKLOAD = "vortex"
 SAMPLED_INSTRUCTIONS = 60_000
 SAMPLED_CONFIGS = ("oracle-associative-3", "indexed-3-fwd+dly")
+
+MLP_WORKLOADS = ("vortex", "mcf")
+MLP_CONFIGS = ("indexed-3-fwd+dly", "associative-5-predictive")
+MLP_HIERARCHIES = {
+    "mshr8": MLPConfig(enabled=True, mshr_entries=8),
+    "mshr16": MLPConfig(enabled=True, mshr_entries=16),
+    "mshr8+pf": MLPConfig(enabled=True, mshr_entries=8,
+                          prefetch=PrefetchConfig(enabled=True)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +74,8 @@ def _stats_dict(stats) -> dict:
 
 
 class TestFullDetailGoldens:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("workload", FULL_DETAIL_WORKLOADS)
-    def test_encoded_path_matches_frozen_counters(self, golden, workload,
-                                                  kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
+    def test_encoded_path_matches_frozen_counters(self, golden, workload):
         settings = ExperimentSettings(instructions=FULL_DETAIL_INSTRUCTIONS)
         trace = build_workload(workload,
                                instructions=FULL_DETAIL_INSTRUCTIONS, seed=1)
@@ -94,11 +98,8 @@ class TestFullDetailGoldens:
 
 
 class TestSampledGoldens:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("config", SAMPLED_CONFIGS)
-    def test_bounded_sampled_run_matches_frozen_counters(self, golden, config,
-                                                         kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
+    def test_bounded_sampled_run_matches_frozen_counters(self, golden, config):
         settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
                                       sampling=_plan(), checkpoints=False)
         record = run_sampled_workload(SAMPLED_WORKLOAD, config, settings)
@@ -137,10 +138,6 @@ class TestDegenerateMLPGoldens:
 
     @pytest.mark.parametrize("workload", FULL_DETAIL_WORKLOADS)
     def test_degenerate_config_matches_frozen_counters(self, golden, workload):
-        from repro.memory.hierarchy import MemoryHierarchyConfig
-        from repro.memory.mshr import MLPConfig
-        from repro.pipeline.config import CoreConfig
-
         degenerate = MLPConfig(enabled=True, mshr_entries=1, l2_enabled=False)
         core = CoreConfig(memory=MemoryHierarchyConfig(mlp=degenerate))
         settings = ExperimentSettings(instructions=FULL_DETAIL_INSTRUCTIONS,
@@ -150,5 +147,25 @@ class TestDegenerateMLPGoldens:
         for config in FULL_DETAIL_CONFIGS:
             record = run_workload(trace, config, settings)
             want = golden["full_detail"][f"{workload}/{config}"]
+            assert _stats_dict(record.result.stats) == want["stats"], config
+            assert dict(sorted(record.result.extra.items())) == want["extra"], config
+
+
+class TestNonBlockingMLPGoldens:
+    """The non-blocking MSHR path (primary/secondary misses, the
+    structural MSHR stall, prefetch scoring) against its frozen cells."""
+
+    @pytest.mark.parametrize("label", sorted(MLP_HIERARCHIES))
+    @pytest.mark.parametrize("workload", MLP_WORKLOADS)
+    def test_mlp_cells_match_frozen_counters(self, golden, workload, label):
+        core = CoreConfig(memory=MemoryHierarchyConfig(
+            mlp=MLP_HIERARCHIES[label]))
+        settings = ExperimentSettings(instructions=FULL_DETAIL_INSTRUCTIONS,
+                                      core=core)
+        trace = build_workload(workload,
+                               instructions=FULL_DETAIL_INSTRUCTIONS, seed=1)
+        for config in MLP_CONFIGS:
+            record = run_workload(trace, config, settings)
+            want = golden["mlp"][f"{workload}/{label}/{config}"]
             assert _stats_dict(record.result.stats) == want["stats"], config
             assert dict(sorted(record.result.extra.items())) == want["extra"], config

@@ -11,6 +11,7 @@ import asyncio
 import glob
 import os
 import tempfile
+import time
 
 import pytest
 
@@ -38,6 +39,11 @@ FAST = ExperimentSettings(instructions=800, stats_warmup_fraction=0.1)
 
 
 def _square(x):
+    return x * x
+
+
+def _slow_square(x):
+    time.sleep(0.1)
     return x * x
 
 
@@ -210,6 +216,36 @@ class TestLocalCluster:
         events.close()  # abandon mid-run: finally must reap + clean
         assert os.listdir(tmp_path) == []
         assert multiprocessing.active_children() == []
+
+    def test_late_claim_is_not_a_lost_result(self, tmp_path, monkeypatch):
+        """A ticket claimed after the coordinator listed the claims but
+        before it probed for the result is in flight, not lost: it must
+        not be respooled (which would also hide a worker crash on that
+        attempt from the crash accounting)."""
+        from repro.exec import backend as backend_module
+
+        coordinator = os.getpid()
+        real_claim = backend_module._claim_next_ticket
+        real_get = backend_module.ResultCache.get
+
+        def late_claim(*args):
+            time.sleep(0.01)
+            return real_claim(*args)
+
+        def slow_probe(store, key):
+            if os.getpid() == coordinator:
+                time.sleep(0.01)
+            return real_get(store, key)
+
+        # Workers fork after the patches, so both sides see them.
+        monkeypatch.setattr(backend_module, "_claim_next_ticket", late_claim)
+        monkeypatch.setattr(backend_module.ResultCache, "get", slow_probe)
+        monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path))
+        backend = LocalClusterBackend(2)
+        results, stats = dispatch(backend, _slow_square, _jobs(8))
+        assert results == [i * i for i in range(8)]
+        assert stats.counters.get("job_retries", 0) == 0
+        assert stats.counters.get("cluster_inline_jobs", 0) == 0
 
     def test_duplicate_payloads_stay_distinct(self):
         jobs = [DispatchJob(index=i, payload=7) for i in range(3)]

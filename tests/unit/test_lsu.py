@@ -159,53 +159,6 @@ class TestStoreQueue:
 # ---------------------------------------------------------------------------
 
 class TestLoadQueue:
-    def test_allocate_release(self):
-        lq = LoadQueue(size=4)
-        lq.allocate(seq=0, pc=0x400)
-        lq.allocate(seq=1, pc=0x404)
-        assert len(lq) == 2
-        lq.release(0)
-        assert len(lq) == 1
-
-    def test_program_order_enforced(self):
-        lq = LoadQueue(size=4)
-        lq.allocate(seq=5, pc=0x400)
-        with pytest.raises(ValueError):
-            lq.allocate(seq=3, pc=0x404)
-
-    def test_overflow(self):
-        lq = LoadQueue(size=1)
-        lq.allocate(0, 0x400)
-        assert lq.is_full()
-        with pytest.raises(RuntimeError):
-            lq.allocate(1, 0x404)
-
-    def test_release_in_order(self):
-        lq = LoadQueue(size=4)
-        lq.allocate(0, 0x400)
-        lq.allocate(1, 0x404)
-        with pytest.raises(ValueError):
-            lq.release(1)
-
-    def test_record_execution(self):
-        lq = LoadQueue(size=4)
-        lq.allocate(0, 0x400)
-        lq.record_execution(0, addr=0x1000, size=8, value=7, svw_ssn=3, forwarded=True)
-        entry = lq.get(0)
-        assert entry.value == 7 and entry.forwarded and entry.svw_ssn == 3
-
-    def test_record_execution_unknown_seq(self):
-        lq = LoadQueue(size=4)
-        with pytest.raises(KeyError):
-            lq.record_execution(9, addr=0, size=8, value=0, svw_ssn=0, forwarded=False)
-
-    def test_squash_younger(self):
-        lq = LoadQueue(size=8)
-        for seq in range(4):
-            lq.allocate(seq, 0x400 + 4 * seq)
-        assert lq.squash_younger(1) == 2
-        assert len(lq) == 2
-
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             LoadQueue(size=0)

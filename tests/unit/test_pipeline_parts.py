@@ -8,11 +8,6 @@ from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.stats import SimStats
 
 
-class _Record:
-    def __init__(self, seq):
-        self.seq = seq
-
-
 class TestRAT:
     def test_initially_architectural(self):
         rat = RegisterAliasTable()
@@ -72,57 +67,9 @@ class TestRAT:
 
 
 class TestROB:
-    def test_push_and_head(self):
-        rob = ReorderBuffer(size=4)
-        rob.push(_Record(0))
-        rob.push(_Record(1))
-        assert rob.head().seq == 0
-        assert len(rob) == 2
-
-    def test_overflow(self):
-        rob = ReorderBuffer(size=1)
-        rob.push(_Record(0))
-        assert rob.is_full()
-        with pytest.raises(RuntimeError):
-            rob.push(_Record(1))
-
-    def test_pop_head(self):
-        rob = ReorderBuffer(size=4)
-        rob.push(_Record(0))
-        assert rob.pop_head().seq == 0
-        assert rob.is_empty()
-
-    def test_pop_empty(self):
-        with pytest.raises(RuntimeError):
-            ReorderBuffer(size=4).pop_head()
-
-    def test_squash_younger_than(self):
-        rob = ReorderBuffer(size=8)
-        for seq in range(5):
-            rob.push(_Record(seq))
-        squashed = rob.squash_younger_than(2)
-        assert [r.seq for r in squashed] == [4, 3]
-        assert len(rob) == 3
-
-    def test_max_occupancy_tracked(self):
-        rob = ReorderBuffer(size=8)
-        for seq in range(5):
-            rob.push(_Record(seq))
-        rob.pop_head()
-        assert rob.max_occupancy == 5
-
-    def test_head_of_empty(self):
-        assert ReorderBuffer(size=4).head() is None
-
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             ReorderBuffer(size=0)
-
-    def test_iteration_in_order(self):
-        rob = ReorderBuffer(size=8)
-        for seq in range(3):
-            rob.push(_Record(seq))
-        assert [r.seq for r in rob] == [0, 1, 2]
 
 
 class TestCoreConfig:

@@ -30,7 +30,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.exec import available_cpus
+from repro.exec import available_cpus, knobs, resolve_jobs
 from repro.exec.dispatch import scheduler_counters
 from repro.exec.resilience import counters_snapshot
 
@@ -46,7 +46,7 @@ WORKLOAD_SUBSET = [w.strip() for w in _workloads_env.split(",") if w.strip()] or
 #: Benchmarks exercise the parallel path by default: REPRO_JOBS if set,
 #: otherwise one worker per *available* CPU (affinity/cgroup aware —
 #: ``os.cpu_count()`` oversubscribes restricted CI runners).
-DEFAULT_JOBS = int(os.environ.get("REPRO_JOBS", "0") or "0") or available_cpus()
+DEFAULT_JOBS = resolve_jobs(knobs.value("REPRO_JOBS", default=0))
 
 
 def run_once(benchmark, func, *args, **kwargs):
@@ -78,7 +78,7 @@ def write_bench_json(name: str, payload: dict) -> Path:
     resilience counters — retries, quarantined blobs, degradations — so a
     wall time achieved *through* recovery work is never mistaken for a
     clean one, and the process's scheduler counters — dispatch runs, jobs,
-    steals, dispatcher overhead — so the execution-backend seam's cost is
+    dispatcher overhead — so the execution-backend seam's cost is
     visible in every file) plus bench-specific metrics, so tooling can
     track the performance trajectory across PRs without parsing pytest
     output.

@@ -44,7 +44,6 @@ from bench_core_throughput import (  # noqa: E402
 )
 from bench_engine_speedup import (  # noqa: E402
     assert_backend_matrix,
-    assert_supervision_overhead,
     measure_backend_matrix,
     measure_engine_speedup,
 )
@@ -162,7 +161,6 @@ def bench_engine(_engine: ExperimentEngine) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
         data = measure_engine_speedup(cache_dir=cache_dir)
     data["backend_matrix"] = measure_backend_matrix()
-    assert_supervision_overhead(data)
     assert_backend_matrix(data["backend_matrix"])
     assert data["warm_cache_speedup"] >= 5.0, data
     if data["cpus"] >= 4:

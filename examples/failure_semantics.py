@@ -111,8 +111,8 @@ def main() -> None:
         _clear_fault_plan()
         os.environ.pop("REPRO_RETRIES", None)
 
-    print("\nKnobs: REPRO_RETRIES, REPRO_JOB_TIMEOUT, REPRO_SUPERVISE=0 (raw "
-          "pool), REPRO_FAULT_PLAN (all execution-only: never in cache keys).")
+    print("\nKnobs: REPRO_RETRIES, REPRO_JOB_TIMEOUT, REPRO_FAULT_PLAN (all "
+          "execution-only: never in cache keys; see repro.exec.knobs).")
 
 
 if __name__ == "__main__":

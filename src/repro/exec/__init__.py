@@ -22,30 +22,19 @@ This package is the performance substrate under every timing experiment:
   store blobs with quarantine-and-recompute, and deterministic fault
   injection (``REPRO_FAULT_PLAN``) that proves faulted runs stay
   bit-identical.
-* :mod:`repro.exec.backend` / :mod:`repro.exec.dispatch` — the pluggable
-  execution seam: every fan-out (engine jobs *and* sharded checkpoint
-  generation) goes through one event-driven dispatcher over an
-  :class:`~repro.exec.backend.ExecutionBackend` — serial reference,
-  supervised pool, or a work-stealing local cluster over a
-  content-addressed spool (``REPRO_BACKEND``).  All backends are
+* :mod:`repro.exec.backend` / :mod:`repro.exec.dispatch` — the execution
+  seam: every fan-out (engine jobs *and* sharded checkpoint generation)
+  goes through one event-driven dispatcher over the serial reference
+  (one worker) or the supervised pool (two or more).  Both are
   bit-identical; scheduler counters surface in ``last_run_stats`` and
   benchmark envelopes.
-
-Environment knobs: ``REPRO_JOBS`` (worker count; <= 0 means all CPUs),
-``REPRO_CACHE`` (``0`` disables caching), ``REPRO_CACHE_DIR`` (cache
-location, default ``.repro-cache/``; delete it at any time to reset),
-``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_SUPERVISE`` /
-``REPRO_FAULT_PLAN`` (failure semantics; see :mod:`repro.exec.resilience`),
-``REPRO_BACKEND`` / ``REPRO_SPOOL_DIR`` (execution-backend selection and
-cluster spool location; see :mod:`repro.exec.backend`).
+* :mod:`repro.exec.knobs` — the table of every ``REPRO_*`` environment
+  knob, its parser, default, and whether it is execution-only.
 """
 
 from repro.exec.backend import (
-    BACKEND_NAMES,
-    BackendCapabilities,
     DispatchJob,
     ExecutionBackend,
-    LocalClusterBackend,
     SerialBackend,
     SupervisedPoolBackend,
     resolve_backend,
@@ -53,7 +42,6 @@ from repro.exec.backend import (
 
 from repro.exec.cache import (
     CACHE_SCHEMA_VERSION,
-    DEFAULT_CACHE_DIR,
     ResultCache,
     generic_key,
     job_key,
@@ -61,7 +49,6 @@ from repro.exec.cache import (
 from repro.exec.dispatch import (
     DispatchStats,
     dispatch,
-    dispatch_async,
     scheduler_counters,
 )
 from repro.exec.engine import ExperimentEngine, available_cpus, resolve_jobs
@@ -71,25 +58,17 @@ from repro.exec.fingerprint import (
     workload_fingerprint,
 )
 from repro.exec.jobs import IntervalJobSpec, JobSpec, run_job
+from repro.exec.knobs import KNOBS, EnvKnobError, validate_environment
 from repro.exec.resilience import (
-    EnvKnobError,
     ExperimentFailure,
     JobFailure,
     parse_fault_plan,
-    resolve_backend_name,
-    resolve_job_timeout,
-    resolve_retries,
     run_supervised,
     supervised_events,
-    supervision_enabled,
-    validate_environment,
 )
 
 __all__ = [
-    "BACKEND_NAMES",
-    "BackendCapabilities",
     "CACHE_SCHEMA_VERSION",
-    "DEFAULT_CACHE_DIR",
     "DispatchJob",
     "DispatchStats",
     "EnvKnobError",
@@ -97,12 +76,11 @@ __all__ = [
     "ExperimentEngine",
     "ExperimentFailure",
     "JobFailure",
-    "LocalClusterBackend",
+    "KNOBS",
     "SerialBackend",
     "SupervisedPoolBackend",
     "available_cpus",
     "dispatch",
-    "dispatch_async",
     "IntervalJobSpec",
     "JobSpec",
     "ResultCache",
@@ -110,16 +88,12 @@ __all__ = [
     "job_key",
     "parse_fault_plan",
     "resolve_backend",
-    "resolve_backend_name",
-    "resolve_job_timeout",
     "resolve_jobs",
-    "resolve_retries",
     "run_job",
     "run_supervised",
     "scheduler_counters",
     "simulator_fingerprint",
     "supervised_events",
-    "supervision_enabled",
     "timing_fingerprint",
     "validate_environment",
     "workload_fingerprint",

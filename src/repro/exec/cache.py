@@ -41,6 +41,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Set
 
+from repro.exec import knobs
 from repro.exec import resilience as _resilience
 from repro.exec.fingerprint import simulator_fingerprint, workload_fingerprint
 
@@ -49,9 +50,6 @@ from repro.exec.fingerprint import simulator_fingerprint, workload_fingerprint
 #: so pre-frame entries — which would all fail verification — are keyed
 #: away instead of mass-quarantined on upgrade.
 CACHE_SCHEMA_VERSION = 2
-
-#: Default cache directory (relative to the current working directory).
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Settings fields that steer *execution*, not simulation semantics
 #: (``checkpoint_shards`` only changes *how* bit-identical snapshots are
@@ -183,9 +181,7 @@ class ResultCache:
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None) -> None:
-        self.directory = Path(directory
-                              or os.environ.get("REPRO_CACHE_DIR")
-                              or DEFAULT_CACHE_DIR)
+        self.directory = Path(directory or knobs.value("REPRO_CACHE_DIR"))
         key = str(self.directory)
         if key not in _SWEPT_DIRS:
             _SWEPT_DIRS.add(key)
@@ -287,7 +283,7 @@ class ResultCache:
         """
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         fault = None
-        plan = _resilience.current_fault_plan()
+        plan = knobs.value("REPRO_FAULT_PLAN")
         if plan is not None:
             fault = plan.blob_fault(key)
         if fault == "write_error":

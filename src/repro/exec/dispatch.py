@@ -1,28 +1,21 @@
 """Event-driven dispatcher over :mod:`repro.exec.backend` backends.
 
 :func:`dispatch` is the one scheduler loop every fan-out call site uses:
-it feeds a job list to a backend, consumes the ``("start", i)`` /
-``("done", i, value)`` event stream, assembles results by index, and
-measures *its own* overhead — the nanoseconds spent handling events, not
-the time the backend spends computing — so the `BENCH_engine.json`
-``backend_matrix`` leg can pin "the seam costs < 3%" as a number instead
-of a hope.
-
-:func:`dispatch_async` is the asyncio facade the ROADMAP's experiment
-service wants: the same loop on a worker thread, events forwarded onto
-the running loop, yielded as they happen.  Progress streaming and
-CI-driven early stopping consume this without any call-site rewiring.
+it feeds a job list to a backend (serial or the supervised pool),
+consumes the ``("start", i)`` / ``("done", i, value)`` event stream,
+assembles results by index, and measures *its own* overhead — the
+nanoseconds spent handling events, not the time the backend spends
+computing — so the `BENCH_engine.json` ``backend_matrix`` leg can pin
+"the seam costs < 3%" as a number instead of a hope.
 
 Scheduler observability: every run fills a :class:`DispatchStats`
-(``backend``, ``queue_depth_peak``, ``inflight_peak``, ``steals``,
-``dispatch_overhead_ns``) — surfaced in the engine's ``last_run_stats``
-and, via :func:`scheduler_counters`, in every ``BENCH_*.json`` envelope.
+(``backend``, ``inflight_peak``, ``dispatch_overhead_ns``) — surfaced in
+the engine's ``last_run_stats`` and, via :func:`scheduler_counters`, in
+every ``BENCH_*.json`` envelope.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -32,7 +25,6 @@ from repro.exec.backend import DispatchJob, ExecutionBackend
 __all__ = [
     "DispatchStats",
     "dispatch",
-    "dispatch_async",
     "reset_scheduler_counters",
     "scheduler_counters",
 ]
@@ -43,12 +35,10 @@ class DispatchStats:
     """Scheduling counters for one :func:`dispatch` run."""
 
     backend: str
-    queue_depth_peak: int
     inflight_peak: int
-    steals: int
     dispatch_overhead_ns: int
     #: Resilience-counter delta reported by the backend for this submit
-    #: (retries, respawns, steals, ...); empty for a clean serial run.
+    #: (retries, respawns, ...); empty for a clean serial run.
     counters: Dict[str, int]
 
     def flat(self) -> Dict[str, Any]:
@@ -56,9 +46,7 @@ class DispatchStats:
         merged: Dict[str, Any] = dict(self.counters)
         merged.update({
             "backend": self.backend,
-            "queue_depth_peak": self.queue_depth_peak,
             "inflight_peak": self.inflight_peak,
-            "steals": self.steals,
             "dispatch_overhead_ns": self.dispatch_overhead_ns,
         })
         return merged
@@ -67,23 +55,19 @@ class DispatchStats:
 # Process-wide scheduler totals, mirrored into every benchmark envelope
 # (same pattern as the resilience counters).
 _SCHED: Dict[str, int] = {}
-_SCHED_LOCK = threading.Lock()
 
 
 def _sched_count(name: str, value: int = 1) -> None:
-    with _SCHED_LOCK:
-        _SCHED[name] = _SCHED.get(name, 0) + value
+    _SCHED[name] = _SCHED.get(name, 0) + value
 
 
 def scheduler_counters() -> Dict[str, int]:
     """Cumulative dispatcher totals for this process (for envelopes)."""
-    with _SCHED_LOCK:
-        return dict(_SCHED)
+    return dict(_SCHED)
 
 
 def reset_scheduler_counters() -> None:
-    with _SCHED_LOCK:
-        _SCHED.clear()
+    _SCHED.clear()
 
 
 def dispatch(backend: ExecutionBackend, fn: Callable[[Any], Any],
@@ -107,7 +91,6 @@ def dispatch(backend: ExecutionBackend, fn: Callable[[Any], Any],
     results: List[Any] = [None] * total
     started = 0
     done = 0
-    queue_depth_peak = total
     inflight_peak = 0
     overhead_ns = 0
     events = backend.submit(fn, jobs, scope=scope, chunksize=chunksize)
@@ -134,59 +117,13 @@ def dispatch(backend: ExecutionBackend, fn: Callable[[Any], Any],
         events.close()
         counters = dict(backend.last_submit_stats)
         stats = DispatchStats(
-            backend=backend.capabilities.name,
-            queue_depth_peak=queue_depth_peak,
+            backend=backend.name,
             inflight_peak=inflight_peak,
-            steals=counters.get("cluster_steals", 0),
             dispatch_overhead_ns=overhead_ns,
             counters=counters)
         if stats_sink is not None:
             stats_sink.update(stats.flat())
         _sched_count("dispatch_runs")
         _sched_count("dispatch_jobs", total)
-        _sched_count("dispatch_steals", stats.steals)
         _sched_count("dispatch_overhead_ns", overhead_ns)
     return results, stats
-
-
-async def dispatch_async(backend: ExecutionBackend, fn: Callable[[Any], Any],
-                         jobs: Sequence[DispatchJob], *, scope: str = "job",
-                         chunksize: Optional[int] = None):
-    """Async generator facade over :func:`dispatch`.
-
-    Yields each backend event (``("start", i)`` / ``("done", i, value)``)
-    as it happens, then one terminal ``("result", results, stats)``.  The
-    synchronous dispatcher runs on a daemon thread; events cross over via
-    ``loop.call_soon_threadsafe``.  Failures re-raise in the consumer's
-    task after worker teardown has completed.
-    """
-    loop = asyncio.get_running_loop()
-    queue: asyncio.Queue = asyncio.Queue()
-
-    def forward(event: tuple) -> None:
-        loop.call_soon_threadsafe(queue.put_nowait, event)
-
-    def runner() -> None:
-        try:
-            out = dispatch(backend, fn, jobs, scope=scope,
-                           chunksize=chunksize, on_event=forward)
-        except BaseException as exc:  # noqa: BLE001 - forwarded, not dropped
-            loop.call_soon_threadsafe(queue.put_nowait, ("__error__", exc))
-        else:
-            loop.call_soon_threadsafe(queue.put_nowait, ("__done__", out))
-
-    thread = threading.Thread(target=runner, daemon=True,
-                              name="repro-dispatch")
-    thread.start()
-    try:
-        while True:
-            event = await queue.get()
-            if event[0] == "__done__":
-                results, stats = event[1]
-                yield ("result", results, stats)
-                return
-            if event[0] == "__error__":
-                raise event[1]
-            yield event
-    finally:
-        await loop.run_in_executor(None, thread.join)

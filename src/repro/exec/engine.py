@@ -28,57 +28,26 @@ using three layers:
   generation entirely (the amortisation across configurations, sweeps,
   and runs).
 
-Environment knobs:
-
-``REPRO_JOBS``
-    Default worker count when neither the engine nor the settings specify
-    one.  ``0`` (or any value <= 0) means "all CPUs".
-``REPRO_CACHE``
-    Set to ``0`` to disable the result cache entirely.
-``REPRO_CACHE_DIR``
-    Cache directory (default ``.repro-cache/`` in the working directory).
-    Safe to delete at any time: ``rm -rf .repro-cache/``.
-``REPRO_CHECKPOINTS`` / ``REPRO_CHECKPOINT_DIR``
-    Checkpointed-warming default for sampled specs and the snapshot-store
-    location (default ``.repro-checkpoints/``; safe to delete at any time).
-``REPRO_CHECKPOINT_SHARDS``
-    Trace chunks per checkpoint-generation chain (see
-    :func:`repro.sampling.checkpoints.plan_shard_jobs`).  Unset or ``0``
-    sizes shards from the worker count; a pure execution knob — stitched
-    sharded generation is bit-identical to the single pass.
-``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_SUPERVISE`` /
-``REPRO_FAULT_PLAN``
-    Failure-semantics knobs (retry budget, per-job deadline, supervision
-    escape hatch, deterministic fault injection) — all execution-only,
-    never part of cache keys; see :mod:`repro.exec.resilience`.
-``REPRO_BACKEND`` / ``REPRO_SPOOL_DIR``
-    Execution-backend selection (``serial`` / ``supervised-pool`` /
-    ``local-cluster``; unset = auto) and the cluster spool location — see
-    :mod:`repro.exec.backend`.  Execution-only like every scheduling
-    knob: every backend is bit-identical, so neither value enters a
-    cache or snapshot key.
-``REPRO_PROFILE``
-    Per-worker profiling: ``1`` (default ``.repro-profile/``) or a
-    directory path.  Each engine run that simulates anything gets a
-    run-scoped subdirectory of per-job ``cProfile`` dumps
-    (``job-<pid>-<n>.pstats``), and the aggregated top cumulative
-    hotspots land under ``last_run_stats["profile"]``.  Execution-only:
-    profiling observes, it never changes a simulated statistic.
+The ``REPRO_*`` environment knobs (worker count, cache and checkpoint
+stores, retries, deadlines, fault plans, profiling) are listed and parsed
+in :mod:`repro.exec.knobs`.  ``REPRO_PROFILE`` gives each engine run that
+simulates anything a run-scoped directory of per-job ``cProfile`` dumps
+(``job-<pid>-<n>.pstats``), with the top cumulative hotspots aggregated
+under ``last_run_stats["profile"]``.
 
 Every fan-out — this engine's job pass *and* the sharded
 checkpoint-generation stage — runs through one dispatcher seam
-(:func:`repro.exec.dispatch.dispatch`) over a pluggable
-:class:`~repro.exec.backend.ExecutionBackend`.  The default pool backend
-runs **supervised** (see :mod:`repro.exec.resilience`): per-job
-deadlines, crash detection, retry with backoff, pool self-healing, and
-degradation to in-process serial execution — a sweep completes or raises
-a structured :class:`~repro.exec.resilience.ExperimentFailure`, it never
-hangs and never silently drops jobs; that contract now holds on *every*
-backend, serial included.  Scheduler observability (``backend``,
-``queue_depth_peak``, ``inflight_peak``, ``steals``,
-``dispatch_overhead_ns``) lands in :attr:`ExperimentEngine.last_run_stats`
-on every run.  Malformed ``REPRO_*`` knobs fail engine construction fast
-with a one-line :class:`~repro.exec.resilience.EnvKnobError`.
+(:func:`repro.exec.dispatch.dispatch`): in-process serial for one worker,
+the **supervised** pool otherwise (see :mod:`repro.exec.resilience`):
+per-job deadlines, crash detection, retry with backoff, pool
+self-healing, and degradation to in-process serial execution — a sweep
+completes or raises a structured
+:class:`~repro.exec.resilience.ExperimentFailure`, it never hangs and
+never silently drops jobs, on either backend.  Scheduler observability
+(``backend``, ``inflight_peak``, ``dispatch_overhead_ns``) lands in
+:attr:`ExperimentEngine.last_run_stats` on every run.  Malformed
+``REPRO_*`` knobs fail engine construction fast with a one-line
+:class:`~repro.exec.knobs.EnvKnobError`.
 """
 
 from __future__ import annotations
@@ -88,27 +57,26 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.exec import knobs
 from repro.exec import resilience as _resilience
 from repro.exec.backend import DispatchJob, resolve_backend
 from repro.exec.cache import ResultCache, generic_key, job_key
 from repro.exec.dispatch import dispatch
 from repro.exec.jobs import JobSpec, run_job
-from repro.exec.resilience import EnvKnobError, ExperimentFailure
+from repro.exec.resilience import ExperimentFailure
 
 #: The scheduler-observability keys every run folds into
 #: ``last_run_stats`` (zeroed when nothing needed dispatching, so tooling
 #: needs no schema probe).
-_SCHEDULER_KEYS = ("backend", "queue_depth_peak", "inflight_peak",
-                   "steals", "dispatch_overhead_ns")
+_SCHEDULER_KEYS = ("backend", "inflight_peak", "dispatch_overhead_ns")
 
 
 def _validate_chunksize(chunksize) -> Optional[int]:
     """Reject malformed ``chunksize`` on every path, parallel or not.
 
     The serial path used to silently ignore the parameter; now a bad
-    value fails identically everywhere, and backends that cannot batch
-    document the (validated) hint as a no-op on their capabilities
-    descriptor (``supports_chunksize``).
+    value fails identically everywhere (serial execution then treats the
+    validated hint as a no-op).
     """
     if chunksize is None:
         return None
@@ -147,23 +115,10 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     machine total.
     """
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise EnvKnobError(
-                    f"REPRO_JOBS must be an integer (got {env!r}); "
-                    "use 0 or a negative value for \"all CPUs\"") from None
-        else:
-            jobs = 1
+        jobs = knobs.value("REPRO_JOBS")
     if jobs <= 0:
         jobs = available_cpus()
     return jobs
-
-
-def _cache_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1").strip() != "0"
 
 
 class ExperimentEngine:
@@ -176,13 +131,14 @@ class ExperimentEngine:
         # Fail fast on malformed REPRO_* knobs — one actionable line at
         # construction beats a deep traceback mid-sweep (or worse, inside
         # a pool worker).
-        _resilience.validate_environment()
+        knobs.validate_environment()
         self.jobs = resolve_jobs(jobs)
         if isinstance(cache, ResultCache):
             self.cache: Optional[ResultCache] = cache
         elif cache is False:
             self.cache = None
-        elif cache is True or cache_dir is not None or _cache_enabled():
+        elif (cache is True or cache_dir is not None
+              or knobs.value("REPRO_CACHE")):
             # An explicit cache_dir is an explicit opt-in, overriding the
             # REPRO_CACHE environment switch.
             self.cache = ResultCache(cache_dir)
@@ -373,8 +329,7 @@ class ExperimentEngine:
             if pending_indices:
                 pending_specs = [specs[i] for i in pending_indices]
                 backend = resolve_backend(workers)
-                if (chunksize is None and workers > 1
-                        and backend.capabilities.supports_chunksize):
+                if chunksize is None and workers > 1:
                     chunksize = max(1, min(16, math.ceil(
                         len(pending_specs) / (workers * 4))))
                 dispatch_jobs = [
@@ -397,10 +352,9 @@ class ExperimentEngine:
             self.last_run_stats = base_stats
             raise
         except BaseException:
-            # Interrupted (KeyboardInterrupt, a worker's unexpected raise
-            # on the raw path): supervised/raw pools have already torn
-            # their workers down; sweep the *.tmp blobs those kills may
-            # have stranded so an aborted run leaks nothing.
+            # Interrupted (KeyboardInterrupt): the supervised pool has
+            # already torn its workers down; sweep the *.tmp blobs those
+            # kills may have stranded so an aborted run leaks nothing.
             self._sweep_interrupted_tmp()
             raise
         finally:
@@ -436,7 +390,7 @@ class ExperimentEngine:
         nothing) when profiling is off or the run has nothing to
         simulate.
         """
-        root = _resilience.resolve_profile_dir()
+        root = knobs.value("REPRO_PROFILE")
         if root is None or not active:
             return None
         ExperimentEngine._profile_seq += 1
@@ -493,14 +447,12 @@ class ExperimentEngine:
         """The dispatcher's observability keys, always present.
 
         When nothing needed dispatching the counters are zero and
-        ``backend`` names what *would* have run (the forced
-        ``REPRO_BACKEND`` choice, else serial — a zero-job fan-out).
+        ``backend`` is ``serial`` (a zero-job fan-out).
         """
         if sink:
             return {key: sink[key] for key in _SCHEDULER_KEYS}
-        name = _resilience.resolve_backend_name() or "serial"
         stats: Dict[str, object] = dict.fromkeys(_SCHEDULER_KEYS, 0)
-        stats["backend"] = name
+        stats["backend"] = "serial"
         return stats
 
     @staticmethod

@@ -22,30 +22,14 @@ This module supplies the failure semantics shared by every pool fan-out
   blobs, write errors) so every recovery path above is CI-exercisable;
   see :func:`parse_fault_plan` for the grammar.
 
-* **Environment-knob validation** — every ``REPRO_*`` knob resolves
-  through :class:`EnvKnobError`-raising parsers, so a malformed value
-  (``REPRO_JOBS=abc``, a negative shard count) fails fast with a one-line
-  actionable message instead of a deep traceback from the middle of a run.
-
 * **Counters** — process-local resilience counters (retries, quarantined
   blobs, degradations, ...) that pool workers ship back to the supervisor
   with each result, so ``ExperimentEngine.last_run_stats`` and the
   ``BENCH_*.json`` envelopes record recovery overhead instead of silently
   absorbing it.
 
-Environment knobs (all execution-only — none participates in result-cache
-or snapshot keys, exactly like ``REPRO_JOBS`` / ``REPRO_CHECKPOINT_SHARDS``)::
-
-    REPRO_RETRIES=N       # retries per failed job (default 2; 0 disables)
-    REPRO_JOB_TIMEOUT=S   # per-job deadline in seconds on the pool path
-                          # (default 3600; 0 disables deadlines)
-    REPRO_SUPERVISE=0     # escape hatch: raw multiprocessing.Pool fan-out
-                          # (no retries, no timeouts; used by the overhead
-                          # benchmark as the A/B baseline)
-    REPRO_FAULT_PLAN=...  # deterministic fault injection, e.g.
-                          # "worker_crash@job:3,corrupt_blob@p=0.1,hang@shard:1"
-    REPRO_PROFILE=...     # when set, jobs run under cProfile and dump
-                          # per-worker stats into a run-scoped directory
+The knobs that steer this module (``REPRO_RETRIES``, ``REPRO_JOB_TIMEOUT``,
+``REPRO_FAULT_PLAN``) are parsed by :mod:`repro.exec.knobs`.
 
 What is (and is not) retried: **crashes** (a worker process dying) and
 **hangs** (a per-job deadline expiring) are retried — they are machine
@@ -70,8 +54,10 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.exec import knobs
+from repro.exec.knobs import EnvKnobError
+
 __all__ = [
-    "BACKEND_NAMES",
     "EnvKnobError",
     "ExperimentFailure",
     "FaultClause",
@@ -81,182 +67,14 @@ __all__ = [
     "count",
     "counters_delta",
     "counters_snapshot",
-    "current_fault_plan",
     "in_pool_worker",
     "mark_pool_worker",
     "merge_counters",
     "parse_fault_plan",
     "reset_counters",
-    "resolve_backend_name",
-    "resolve_job_timeout",
-    "resolve_profile_dir",
-    "resolve_retries",
-    "resolve_spool_dir",
     "run_supervised",
     "supervised_events",
-    "supervision_enabled",
-    "validate_environment",
 ]
-
-
-# ------------------------------------------------------------- env knobs --
-
-class EnvKnobError(ValueError):
-    """A malformed ``REPRO_*`` environment knob.
-
-    The message is a single actionable line (knob name, offending value,
-    what to use instead); entry points print it and exit instead of dumping
-    a traceback from the middle of a sweep.
-    """
-
-
-def _env_int(name: str, default: int, hint: str,
-             minimum: Optional[int] = None) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise EnvKnobError(
-            f"{name} must be an integer (got {raw!r}); {hint}") from None
-    if minimum is not None and value < minimum:
-        raise EnvKnobError(
-            f"{name} must be >= {minimum} (got {value}); {hint}")
-    return value
-
-
-def _env_float(name: str, default: float, hint: str,
-               minimum: Optional[float] = None) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise EnvKnobError(
-            f"{name} must be a number (got {raw!r}); {hint}") from None
-    if minimum is not None and value < minimum:
-        raise EnvKnobError(
-            f"{name} must be >= {minimum} (got {value:g}); {hint}")
-    return value
-
-
-#: Default retries per failed (crashed or timed-out) job.
-DEFAULT_RETRIES = 2
-
-#: Default per-job deadline on the pool path, in seconds.  Generous: a
-#: checkpoint shard job legitimately waits up to
-#: :data:`repro.sampling.checkpoints._BOUNDARY_WAIT_SECONDS` for its stitch
-#: handoff before walking back, and the deadline must never fire on a
-#: healthy machine.  Chaos tests shrink it explicitly.
-DEFAULT_JOB_TIMEOUT_SECONDS = 3600.0
-
-
-def resolve_retries() -> int:
-    """Retries per failed job: ``REPRO_RETRIES``, default 2, ``>= 0``."""
-    return _env_int("REPRO_RETRIES", DEFAULT_RETRIES,
-                    "use 0 to disable retries", minimum=0)
-
-
-def resolve_job_timeout() -> float:
-    """Per-job deadline in seconds: ``REPRO_JOB_TIMEOUT``, default 3600.
-
-    ``0`` disables deadlines (crash detection and retries stay active).
-    """
-    return _env_float("REPRO_JOB_TIMEOUT", DEFAULT_JOB_TIMEOUT_SECONDS,
-                      "seconds per job; use 0 to disable deadlines",
-                      minimum=0.0)
-
-
-def supervision_enabled() -> bool:
-    """Whether pool fan-outs run supervised (default) or raw.
-
-    ``REPRO_SUPERVISE=0`` is the escape hatch back to a plain
-    ``multiprocessing.Pool`` — no retries, no deadlines, no failure report
-    — kept for A/B overhead measurement and emergency debugging.
-    """
-    return os.environ.get("REPRO_SUPERVISE", "1").strip() != "0"
-
-
-#: The in-tree execution backends (see :mod:`repro.exec.backend`).
-BACKEND_NAMES = ("serial", "supervised-pool", "local-cluster")
-
-
-def resolve_backend_name() -> Optional[str]:
-    """The forced execution backend (``REPRO_BACKEND``), or ``None``.
-
-    ``None`` means *auto*: the engine picks ``serial`` for one-worker runs
-    and ``supervised-pool`` otherwise.  Purely an execution knob — every
-    backend is bit-identical on every workload — so it never participates
-    in result-cache or snapshot keys.
-    """
-    raw = os.environ.get("REPRO_BACKEND", "").strip()
-    if not raw:
-        return None
-    if raw not in BACKEND_NAMES:
-        raise EnvKnobError(
-            f"REPRO_BACKEND must be one of {', '.join(BACKEND_NAMES)} "
-            f"(got {raw!r}); unset it to let the engine choose")
-    return raw
-
-
-def resolve_spool_dir() -> Optional[str]:
-    """Root for local-cluster job spools (``REPRO_SPOOL_DIR``), or ``None``.
-
-    ``None`` means the system temp directory.  Each cluster submission
-    creates (and always removes) its own unique spool underneath.
-    """
-    raw = os.environ.get("REPRO_SPOOL_DIR", "").strip()
-    return raw or None
-
-
-def resolve_profile_dir() -> Optional[str]:
-    """Root directory for per-worker profiles (``REPRO_PROFILE``), or ``None``.
-
-    ``None`` (unset, empty, or ``0``) disables profiling.  ``1`` profiles
-    into the default ``.repro-profile/``; any other value is the directory
-    itself.  When enabled, every job runs under :mod:`cProfile`, each
-    worker dumps its stats files into a run-scoped subdirectory, and
-    ``ExperimentEngine.last_run_stats`` reports the top cumulative
-    hotspots — so the next performance PR starts from data, not guesses.
-    """
-    raw = os.environ.get("REPRO_PROFILE", "").strip()
-    if not raw or raw == "0":
-        return None
-    if raw == "1":
-        return ".repro-profile"
-    if os.path.isfile(raw):
-        raise EnvKnobError(
-            f"REPRO_PROFILE must be a directory path (got existing file "
-            f"{raw!r}); use 1 for the default .repro-profile/")
-    return raw
-
-
-def validate_environment() -> Dict[str, Any]:
-    """Resolve every execution-affecting ``REPRO_*`` knob, failing fast.
-
-    Called once per :class:`~repro.exec.engine.ExperimentEngine`
-    construction so a malformed knob surfaces before any simulation work
-    starts, as one :class:`EnvKnobError` line.  Returns the resolved
-    values (useful for reports and docs smoke tests).
-    """
-    resolved: Dict[str, Any] = {
-        "jobs_env": _env_int("REPRO_JOBS", 1,
-                             'use 0 or a negative value for "all CPUs"'),
-        "checkpoint_shards": _env_int(
-            "REPRO_CHECKPOINT_SHARDS", 0,
-            "use 0 (or unset) to size shards from the worker count",
-            minimum=0),
-        "retries": resolve_retries(),
-        "job_timeout": resolve_job_timeout(),
-        "supervise": supervision_enabled(),
-        "backend": resolve_backend_name(),
-        "spool_dir": resolve_spool_dir(),
-        "profile_dir": resolve_profile_dir(),
-    }
-    resolved["fault_plan"] = current_fault_plan()
-    return resolved
 
 
 # --------------------------------------------------------------- backoff --
@@ -467,23 +285,6 @@ def parse_fault_plan(text: str) -> FaultPlan:
     return FaultPlan(clauses, seed=seed, text=text)
 
 
-#: Parsed plans memoized by plan text — the blob-fault fired set must
-#: persist across store constructions within a process (fire once per key).
-_PLAN_CACHE: Dict[str, FaultPlan] = {}
-
-
-def current_fault_plan() -> Optional[FaultPlan]:
-    """The active fault plan (``REPRO_FAULT_PLAN``), or ``None``."""
-    text = os.environ.get("REPRO_FAULT_PLAN", "").strip()
-    if not text:
-        return None
-    plan = _PLAN_CACHE.get(text)
-    if plan is None:
-        plan = parse_fault_plan(text)
-        _PLAN_CACHE[text] = plan
-    return plan
-
-
 #: True inside a supervised pool worker.  Process-killing job faults only
 #: fire here — never in the supervisor or in degraded serial execution,
 #: where a crash would take the whole engine down.
@@ -496,7 +297,7 @@ def in_pool_worker() -> bool:
 
 
 def mark_pool_worker() -> None:
-    """Declare this process a pool worker (supervised or cluster).
+    """Declare this process a supervised pool worker.
 
     Called from worker entry points only; enables the process-killing job
     faults that must never fire in a supervisor or degraded-serial context.
@@ -508,7 +309,7 @@ def mark_pool_worker() -> None:
 def _maybe_inject_job_fault(scope: str, index: int, attempt: int,
                             deadline_active: bool) -> None:
     """Fire a planned job fault at this exact execution point, if any."""
-    plan = current_fault_plan()
+    plan = knobs.value("REPRO_FAULT_PLAN")
     if plan is None or not _IN_POOL_WORKER:
         return
     kind = plan.job_fault(scope, index, attempt)
@@ -703,9 +504,9 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
     payloads = list(payloads)
     total = len(payloads)
     if timeout is None:
-        timeout = resolve_job_timeout()
+        timeout = knobs.value("REPRO_JOB_TIMEOUT")
     if retries is None:
-        retries = resolve_retries()
+        retries = knobs.value("REPRO_RETRIES")
     if labels is None:
         labels = [f"{scope} {i}" for i in range(total)]
     else:

@@ -66,16 +66,9 @@ back together through **boundary snapshots**:
   arrives damaged) falls back to an exact in-process prefix recompute:
   slower, never wrong.
 
-Environment knobs::
-
-    REPRO_CHECKPOINTS=0         # disable (sampled runs fall back to bounded
-                                # functional warming, the PR 2 behaviour)
-    REPRO_CHECKPOINT_DIR=...    # store location, default .repro-checkpoints/
-                                # (safe to delete at any time)
-    REPRO_CHECKPOINT_SHARDS=K   # trace chunks per generation chain
-                                # (<= 0 or unset: sized from the worker
-                                # count; 1 disables trace sharding)
-
+``REPRO_CHECKPOINTS`` (``0`` disables checkpointing), ``REPRO_CHECKPOINT_DIR``
+(store location, safe to delete) and ``REPRO_CHECKPOINT_SHARDS`` (trace
+chunks per generation chain) are parsed by :mod:`repro.exec.knobs`.
 ``ExperimentSettings.checkpoints`` / ``ExperimentSettings.checkpoint_shards``
 override the environment per run (``None`` means "follow the environment").
 """
@@ -90,8 +83,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.exec import fingerprint as _fingerprint
+from repro.exec import knobs
 from repro.exec.cache import ResultCache, _canonical
-from repro.exec.resilience import EnvKnobError
 from repro.sampling.functional import FunctionalState, FunctionalWarmer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -111,16 +104,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: the payload class set changed, so old readers are keyed away.
 CHECKPOINT_SCHEMA_VERSION = 4
 
-#: Default store directory (relative to the current working directory).
-DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
-
 #: A policy identity: (configuration name, SQ size, predictor overrides).
 PolicyIdentity = Tuple[str, int, Optional["PredictorSuiteConfig"]]
 
 
 def checkpoints_enabled() -> bool:
     """Whether checkpointed warming is enabled by the environment."""
-    return os.environ.get("REPRO_CHECKPOINTS", "1").strip() != "0"
+    return knobs.value("REPRO_CHECKPOINTS")
 
 
 def resolve_checkpointed(settings) -> bool:
@@ -151,20 +141,7 @@ def resolve_checkpoint_shards(settings=None) -> int:
     explicit = getattr(settings, "checkpoint_shards", None) \
         if settings is not None else None
     if explicit is None:
-        env = os.environ.get("REPRO_CHECKPOINT_SHARDS", "").strip()
-        if not env:
-            return 0
-        try:
-            explicit = int(env)
-        except ValueError:
-            raise EnvKnobError(
-                f"REPRO_CHECKPOINT_SHARDS must be an integer (got {env!r}); "
-                "use 0 (or unset) to size shards from the worker count"
-            ) from None
-        if explicit < 0:
-            raise EnvKnobError(
-                f"REPRO_CHECKPOINT_SHARDS must be >= 0 (got {explicit}); "
-                "use 0 (or unset) to size shards from the worker count")
+        explicit = knobs.value("REPRO_CHECKPOINT_SHARDS")
     return max(0, int(explicit))
 
 
@@ -176,9 +153,7 @@ class CheckpointStore(ResultCache):
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None) -> None:
-        super().__init__(directory
-                         or os.environ.get("REPRO_CHECKPOINT_DIR")
-                         or DEFAULT_CHECKPOINT_DIR)
+        super().__init__(directory or knobs.value("REPRO_CHECKPOINT_DIR"))
 
     def contains(self, key: str) -> bool:
         """Cheap existence check (no deserialisation; corruption is only
@@ -804,10 +779,8 @@ def execute_generation(store: CheckpointStore,
     dependency** (``chain[k-1] -> chain[k]``) rather than relying on
     pool-FIFO dispatch order: the supervised pool dispatch-gates (a
     consumer may run alongside its producer and compose ahead while
-    waiting in-worker), the local cluster completion-gates (a ticket is
-    spooled only once the handoff is already published), and the serial
-    reference runs the chunk-major plan order — every backend preserves
-    the deadlock-freedom invariant.  A crashed or hung shard job is
+    waiting in-worker) and the serial reference runs the chunk-major plan
+    order — both preserve the deadlock-freedom invariant.  A crashed or hung shard job is
     retried — shard jobs are idempotent folds, and consumers of a retried
     producer's handoff either keep waiting within their bounded window or
     walk back and recompute the prefix.  Afterwards the transient

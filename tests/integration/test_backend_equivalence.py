@@ -1,8 +1,9 @@
-"""Backend equivalence: serial ≡ supervised-pool ≡ local-cluster, vs goldens.
+"""Backend equivalence: serial ≡ supervised-pool, vs goldens.
 
-The execution backend is a pure scheduling choice, so every backend must
+The worker count picks the backend (``jobs=1`` → serial, ``jobs=2`` → the
+supervised pool), a pure scheduling choice, so both backends must
 reproduce the **frozen** golden counters (``tests/golden/hotpath_golden.json``)
-bit for bit — not merely agree with itself — across:
+bit for bit — not merely agree with each other — across:
 
 * cold-cache engine runs (every spec simulated through the backend),
 * warm-cache engine runs (every spec served from the store),
@@ -26,7 +27,9 @@ from repro.sampling.plan import SamplingPlan
 GOLDEN_PATH = (Path(__file__).resolve().parent.parent
                / "golden" / "hotpath_golden.json")
 
-BACKENDS = ("serial", "supervised-pool", "local-cluster")
+#: (worker count, the backend it must select), identified by backend.
+BACKENDS = [pytest.param(1, "serial", id="serial"),
+            pytest.param(2, "supervised-pool", id="supervised-pool")]
 
 FULL_DETAIL_WORKLOADS = ("vortex", "mesa.m")
 FULL_DETAIL_CONFIGS = ("oracle-associative-3", "associative-5-predictive",
@@ -69,13 +72,11 @@ def _assert_full_detail_matches_golden(records, golden):
             == want["extra"], key
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("jobs,backend", BACKENDS)
 class TestColdWarmEquivalence:
     def test_cold_then_warm_match_frozen_counters(self, golden, tmp_path,
-                                                  monkeypatch, backend):
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "spool"))
-        engine = ExperimentEngine(jobs=2, cache_dir=tmp_path / "cache")
+                                                  jobs, backend):
+        engine = ExperimentEngine(jobs=jobs, cache_dir=tmp_path / "cache")
 
         cold = engine.run(_full_detail_specs())
         assert engine.last_run_stats["backend"] == backend
@@ -88,21 +89,20 @@ class TestColdWarmEquivalence:
         _assert_full_detail_matches_golden(warm, golden)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("jobs,backend", BACKENDS)
 class TestCheckpointedSampledEquivalence:
     def test_sharded_generation_matches_frozen_counters(self, golden, tmp_path,
-                                                        monkeypatch, backend):
+                                                        monkeypatch, jobs,
+                                                        backend):
         """Checkpoint generation *and* the interval fan-out both run
-        through the forced backend; the merged record must equal the
+        through the selected backend; the merged record must equal the
         frozen single-pass numbers."""
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "spool"))
         monkeypatch.setenv("REPRO_CHECKPOINT_SHARDS", "3")
         plan = SamplingPlan(interval_length=500, detailed_warmup=300,
                             period=10_000, functional_warmup=2_000, seed=3)
         settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
                                       sampling=plan, checkpoints=True)
-        engine = ExperimentEngine(jobs=2, cache_dir=tmp_path / "cache",
+        engine = ExperimentEngine(jobs=jobs, cache_dir=tmp_path / "cache",
                                   checkpoint_dir=tmp_path / "ckpt")
         record = engine.run(
             [JobSpec(SAMPLED_WORKLOAD, SAMPLED_CONFIG, settings)])[0]
@@ -116,17 +116,15 @@ class TestCheckpointedSampledEquivalence:
         assert [m.cycles for m in sampled.intervals] == want["interval_cycles"]
 
 
-@pytest.mark.parametrize("backend", ("supervised-pool", "local-cluster"))
+@pytest.mark.parametrize("jobs,backend", BACKENDS[1:])
 class TestChaosEquivalence:
     def test_faulted_run_matches_frozen_counters(self, golden, tmp_path,
-                                                 monkeypatch, backend):
-        """Crash-and-corruption chaos through the seam stays bit-identical:
+                                                 monkeypatch, jobs, backend):
+        """Crash-and-corruption chaos through the pool stays bit-identical:
         retries and quarantine-and-recompute are invisible in the records,
         visible only in the resilience counters."""
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "spool"))
         monkeypatch.setenv("REPRO_FAULT_PLAN", CHAOS_PLAN)
-        engine = ExperimentEngine(jobs=2, cache_dir=tmp_path / "cache")
+        engine = ExperimentEngine(jobs=jobs, cache_dir=tmp_path / "cache")
         records = engine.run(_full_detail_specs())
         _assert_full_detail_matches_golden(records, golden)
         stats = engine.last_run_stats

@@ -19,7 +19,8 @@ from repro.exec import (
     simulator_fingerprint,
     workload_fingerprint,
 )
-from repro.exec.resilience import EnvKnobError, resolve_profile_dir
+from repro.exec import knobs
+from repro.exec.knobs import EnvKnobError
 from repro.harness.runner import ExperimentSettings, run_workload
 from repro.pipeline.config import CoreConfig
 from repro.workloads.suites import build_workload
@@ -207,7 +208,7 @@ class TestStoreIntegrity:
         monkeypatch.setattr(resilience, "_COUNTERS",
                             type(resilience._COUNTERS)())
         monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-        monkeypatch.setattr(resilience, "_PLAN_CACHE", {})
+        monkeypatch.setattr(knobs, "_PARSED", {})
 
     def test_blobs_are_framed_with_checksum(self, tmp_path):
         from repro.exec.cache import _BLOB_MAGIC
@@ -456,22 +457,22 @@ class TestProfileKnob:
                 monkeypatch.delenv("REPRO_PROFILE", raising=False)
             else:
                 monkeypatch.setenv("REPRO_PROFILE", raw)
-            assert resolve_profile_dir() is None
+            assert knobs.value("REPRO_PROFILE") is None
 
     def test_one_means_default_directory(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert resolve_profile_dir() == ".repro-profile"
+        assert knobs.value("REPRO_PROFILE") == ".repro-profile"
 
     def test_path_is_the_directory(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_PROFILE", str(tmp_path / "prof"))
-        assert resolve_profile_dir() == str(tmp_path / "prof")
+        assert knobs.value("REPRO_PROFILE") == str(tmp_path / "prof")
 
     def test_existing_file_is_an_env_knob_error(self, monkeypatch, tmp_path):
         clash = tmp_path / "not-a-dir"
         clash.write_text("x")
         monkeypatch.setenv("REPRO_PROFILE", str(clash))
         with pytest.raises(EnvKnobError, match="REPRO_PROFILE"):
-            resolve_profile_dir()
+            knobs.value("REPRO_PROFILE")
         with pytest.raises(EnvKnobError):
             ExperimentEngine(jobs=1, cache=False)
 

@@ -1,4 +1,4 @@
-"""Unit tests for the resilience layer (supervision, knobs, fault plans).
+"""Unit tests for the resilience layer (supervision, backoff, fault plans).
 
 The supervised-pool tests use tiny top-level functions as jobs (forked
 workers inherit them); every scenario is bounded by explicit timeouts so a
@@ -11,24 +11,20 @@ import time
 
 import pytest
 
-from repro.exec import resilience
+from repro.exec import knobs
 from repro.exec.resilience import (
     EnvKnobError,
     ExperimentFailure,
     backoff_delay,
     parse_fault_plan,
-    resolve_job_timeout,
-    resolve_retries,
     run_supervised,
-    supervision_enabled,
-    validate_environment,
 )
 
 
 @pytest.fixture(autouse=True)
 def _clean_fault_state(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    monkeypatch.setattr(resilience, "_PLAN_CACHE", {})
+    monkeypatch.setattr(knobs, "_PARSED", {})
 
 
 def _square(x):
@@ -45,62 +41,6 @@ def _assert_no_orphans():
     for child in multiprocessing.active_children():
         child.join(5.0)
     assert multiprocessing.active_children() == []
-
-
-class TestEnvKnobs:
-    def test_defaults(self, monkeypatch):
-        for name in ("REPRO_RETRIES", "REPRO_JOB_TIMEOUT", "REPRO_SUPERVISE"):
-            monkeypatch.delenv(name, raising=False)
-        assert resolve_retries() == resilience.DEFAULT_RETRIES
-        assert resolve_job_timeout() == resilience.DEFAULT_JOB_TIMEOUT_SECONDS
-        assert supervision_enabled()
-
-    def test_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "5")
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "12.5")
-        monkeypatch.setenv("REPRO_SUPERVISE", "0")
-        assert resolve_retries() == 5
-        assert resolve_job_timeout() == 12.5
-        assert not supervision_enabled()
-
-    @pytest.mark.parametrize("name,value", [
-        ("REPRO_RETRIES", "abc"),
-        ("REPRO_RETRIES", "-1"),
-        ("REPRO_JOB_TIMEOUT", "soon"),
-        ("REPRO_JOB_TIMEOUT", "-2"),
-    ])
-    def test_malformed_values_fail_fast(self, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(EnvKnobError, match=name):
-            validate_environment()
-
-    def test_validate_environment_covers_jobs_and_shards(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "abc")
-        with pytest.raises(EnvKnobError, match="REPRO_JOBS"):
-            validate_environment()
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        monkeypatch.setenv("REPRO_CHECKPOINT_SHARDS", "-4")
-        with pytest.raises(EnvKnobError, match="REPRO_CHECKPOINT_SHARDS"):
-            validate_environment()
-
-    def test_malformed_fault_plan_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "explode@everywhere")
-        with pytest.raises(EnvKnobError, match="REPRO_FAULT_PLAN"):
-            validate_environment()
-
-    def test_engine_construction_validates(self, monkeypatch):
-        from repro.exec import ExperimentEngine
-
-        monkeypatch.setenv("REPRO_RETRIES", "several")
-        with pytest.raises(EnvKnobError, match="REPRO_RETRIES"):
-            ExperimentEngine(jobs=1, cache=False)
-
-    def test_knob_errors_are_one_line(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "soon")
-        with pytest.raises(EnvKnobError) as excinfo:
-            validate_environment()
-        assert "\n" not in str(excinfo.value)
-        assert "REPRO_JOB_TIMEOUT" in str(excinfo.value)
 
 
 class TestBackoff:

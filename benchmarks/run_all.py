@@ -183,17 +183,18 @@ def bench_memory(_engine: ExperimentEngine) -> dict:
 
 
 def bench_sampling(_engine: ExperimentEngine) -> dict:
-    """Sampling speedup, the checkpointed sweep, sharded generation, and
-    the paper-scale artifact.
+    """Sampling speedup, the checkpointed sweep, policy-group generation,
+    and the paper-scale artifact.
 
     The matched-count half simulates the same (workload, configuration)
     both ways and asserts the >= ~10x win of bounded-warming sampling; the
     checkpointed-sweep half runs a multi-configuration sweep bounded vs
     checkpointed and asserts the amortised single-pass warming is at least
-    as fast (while carrying full history); the sharded-generation half
-    re-runs that sweep's generation stage unsharded vs sharded on cold
-    stores, asserts snapshot- and merged-result bit-identity, and records
-    the stage speedup (>= 1.5x asserted at >= 4 CPUs); the artifact half
+    as fast (while carrying full history); the generation half re-runs
+    that sweep's generation stage as one in-process pass vs one pass per
+    policy group on the pool, on cold stores, asserts snapshot- and
+    merged-result bit-identity, and records the stage speedup (>= 1.5x
+    asserted at >= 4 CPUs); the artifact half
     runs a 10M-instruction Figure-4 cell sampled-only (relative time with
     a confidence interval) — the scale the subsystem exists to reach.
     """

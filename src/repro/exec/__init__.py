@@ -23,8 +23,8 @@ This package is the performance substrate under every timing experiment:
   injection (``REPRO_FAULT_PLAN``) that proves faulted runs stay
   bit-identical.
 * :mod:`repro.exec.backend` / :mod:`repro.exec.dispatch` — the execution
-  seam: every fan-out (engine jobs *and* sharded checkpoint generation)
-  goes through one event-driven dispatcher over the serial reference
+  seam: every fan-out (engine jobs *and* checkpoint generation, one
+  job per policy group) goes through one event-driven dispatcher over the serial reference
   (one worker) or the supervised pool (two or more).  Both are
   bit-identical; scheduler counters surface in ``last_run_stats`` and
   benchmark envelopes.

@@ -1,7 +1,7 @@
 """Execution backends: one dispatch seam under every fan-out.
 
-Both fan-out paths — engine jobs and sharded checkpoint generation —
-speak one protocol: an :class:`ExecutionBackend` accepts a list of
+Both fan-out paths — engine jobs and checkpoint generation — speak one
+protocol: an :class:`ExecutionBackend` accepts a list of
 :class:`DispatchJob` and yields ``("start", index)`` /
 ``("done", index, value)`` completion events, consumed by
 :func:`repro.exec.dispatch.dispatch`.
@@ -11,25 +11,23 @@ functions of their spec), chosen by worker count alone
 (:func:`resolve_backend`):
 
 * :class:`SerialBackend` — the in-process reference for one worker.
-  Runs jobs in input order, which satisfies any dependency DAG; failure
-  semantics match the supervised pool's degraded-serial path (exceptions
-  are collected per job, the rest of the sweep completes, then one
-  structured :class:`~repro.exec.resilience.ExperimentFailure`).
+  Runs jobs in input order; failure semantics match the supervised
+  pool's degraded-serial path (exceptions are collected per job, the
+  rest of the sweep completes, then one structured
+  :class:`~repro.exec.resilience.ExperimentFailure`).
 * :class:`SupervisedPoolBackend` — the single-host pool for two or more
   workers.  It forwards the :func:`~repro.exec.resilience.supervised_events`
   stream, so per-job deadlines, crash retry, pool self-healing,
-  degradation and fault plans all apply.  ``DispatchJob.deps`` are
-  *dispatch-gated*: a job is not handed to a worker until its
-  dependencies have been dispatched, which keeps the checkpoint chains'
-  compose-ahead overlap (a consumer may run alongside its producer and
-  wait in-worker for the handoff).
+  degradation and fault plans all apply.
+
+Jobs must be independent: no job may rely on another having run first.
 """
 
 from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.exec import resilience as _resilience
 from repro.exec.resilience import ExperimentFailure, JobFailure
@@ -45,18 +43,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DispatchJob:
-    """One schedulable unit: an index, a payload, and its dependencies.
+    """One schedulable unit: an index, a payload, and a label.
 
     ``index`` must equal the job's position in the submitted list (results
-    are addressed by it); ``deps`` lists indices of jobs that must be
-    scheduled ahead of this one (each ``dep < index`` — topological input
-    order).
+    are addressed by it).
     """
 
     index: int
     payload: Any
     label: str = ""
-    deps: Tuple[int, ...] = ()
 
 
 class ExecutionBackend:
@@ -89,11 +84,6 @@ def _check_jobs(jobs: Sequence[DispatchJob]) -> List[DispatchJob]:
             raise ValueError(
                 f"job at position {position} carries index {job.index}; "
                 f"DispatchJob.index must equal the list position")
-        for dep in job.deps:
-            if not 0 <= dep < job.index:
-                raise ValueError(
-                    f"job {job.index} depends on {dep}: dependencies must "
-                    f"point at earlier jobs (topological input order)")
     return jobs
 
 
@@ -102,10 +92,10 @@ def _check_jobs(jobs: Sequence[DispatchJob]) -> List[DispatchJob]:
 class SerialBackend(ExecutionBackend):
     """The always-available in-process reference backend.
 
-    Input order satisfies any valid dependency DAG (``dep < index``), and
-    the failure semantics mirror the supervised pool's degraded-serial
-    path: per-job exceptions are collected, the remaining jobs complete,
-    then one structured :class:`ExperimentFailure` is raised.  ``chunksize``
+    Jobs run in input order, and the failure semantics mirror the
+    supervised pool's degraded-serial path: per-job exceptions are
+    collected, the remaining jobs complete, then one structured
+    :class:`ExperimentFailure` is raised.  ``chunksize``
     is a no-op (there is no assignment to batch).
     """
 
@@ -154,13 +144,10 @@ class SupervisedPoolBackend(ExecutionBackend):
 
     def submit(self, fn, jobs, *, scope="job", chunksize=None):
         jobs = _check_jobs(jobs)
-        deps = [job.deps for job in jobs] \
-            if any(job.deps for job in jobs) else None
         stats = yield from _resilience.supervised_events(
             fn, [job.payload for job in jobs], self.workers, scope=scope,
             labels=[job.label or f"{scope} {job.index}" for job in jobs],
-            chunksize=1 if chunksize is None else max(1, int(chunksize)),
-            deps=deps)
+            chunksize=1 if chunksize is None else max(1, int(chunksize)))
         self.last_submit_stats = dict(stats or {})
 
 

@@ -19,14 +19,12 @@ using three layers:
   warming (``settings.checkpoints`` / ``REPRO_CHECKPOINTS``, see
   :mod:`repro.sampling.checkpoints`) get a generation stage between the
   cache probe and the fan-out: for each workload group with cache-missed
-  intervals, the warming pass is **sharded** into (segment-aligned trace
-  chunk x policy group) jobs stitched through boundary snapshots and
-  fanned out over the pool — bit-identical to a single full pass, but
-  parallel *inside* one workload (``REPRO_CHECKPOINT_SHARDS`` /
-  ``ExperimentSettings.checkpoint_shards``); the interval jobs then load
-  snapshots instead of re-warming.  Groups with a warm store skip
-  generation entirely (the amortisation across configurations, sweeps,
-  and runs).
+  intervals, the warming pass is split into one full-history pass per
+  policy group (the group's configurations dealt over the workers) and
+  the passes fan out over the pool — bit-identical to a single
+  multi-policy pass; the interval jobs then load snapshots instead of
+  re-warming.  Groups with a warm store skip generation entirely (the
+  amortisation across configurations, sweeps, and runs).
 
 The ``REPRO_*`` environment knobs (worker count, cache and checkpoint
 stores, retries, deadlines, fault plans, profiling) are listed and parsed
@@ -35,7 +33,7 @@ simulates anything a run-scoped directory of per-job ``cProfile`` dumps
 (``job-<pid>-<n>.pstats``), with the top cumulative hotspots aggregated
 under ``last_run_stats["profile"]``.
 
-Every fan-out — this engine's job pass *and* the sharded
+Every fan-out — this engine's job pass *and* the
 checkpoint-generation stage — runs through one dispatcher seam
 (:func:`repro.exec.dispatch.dispatch`): in-process serial for one worker,
 the **supervised** pool otherwise (see :mod:`repro.exec.resilience`):
@@ -246,14 +244,11 @@ class ExperimentEngine:
         """The checkpoint-generation stage (runs on cache-missed intervals).
 
         Probes the store for every (workload group, configuration) the
-        pending checkpointed intervals need, then runs the generation work
-        for the missing groups **sharded**: each group's pass is decomposed
-        into (segment-aligned trace chunk x policy group) shard jobs
-        stitched through boundary snapshots and fanned out chunk-major
-        over the pool (:func:`repro.sampling.checkpoints.execute_generation`
-        — bit-identical to the single pass, parallel inside a single
-        workload).  Intervals served from the result cache never trigger
-        generation.
+        pending checkpointed intervals need, plans one full-history pass
+        per policy group of the missing configurations, and fans the
+        passes out over the pool
+        (:func:`repro.sampling.checkpoints.execute_generation`).  Intervals
+        served from the result cache never trigger generation.
         """
         from repro.sampling.checkpoints import (
             CheckpointStore,
@@ -267,17 +262,9 @@ class ExperimentEngine:
             return
         store = CheckpointStore(checkpointed[0].checkpoint_dir
                                 or self.checkpoint_dir)
-        requests, total_identities = plan_generation(store, checkpointed)
-        generated = sum(len(request.identities) for request in requests)
-        self._checkpoint_stats = {
-            "checkpoint_identities": total_identities,
-            "checkpoint_generated": generated,
-            "checkpoint_reused": total_identities - generated,
-            "checkpoint_passes": len(requests),
-        }
-        if requests:
-            self._checkpoint_stats.update(
-                execute_generation(store, requests, jobs=self.jobs))
+        jobs, self._checkpoint_stats = plan_generation(
+            store, checkpointed, workers=self.jobs)
+        execute_generation(jobs, workers=self.jobs)
 
     def _execute(self, specs: List[JobSpec],
                  chunksize: Optional[int] = None,

@@ -13,8 +13,8 @@ bit-identical.
 
 Checkpoint *generation* work travels the same way but with its own spec
 type: the engine's generation stage fans
-:class:`~repro.sampling.checkpoints.ShardJobSpec` (one stitched chunk of
-one warming chain) out over the pool via
+:class:`~repro.sampling.checkpoints.CheckpointJobSpec` (one full warming
+pass of one policy group) out over the pool via
 :func:`~repro.sampling.checkpoints.run_shard_job` before the interval jobs
 here are simulated.
 """

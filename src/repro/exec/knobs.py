@@ -18,7 +18,6 @@ fails fast as one :class:`EnvKnobError` line that names the knob.
 ``REPRO_CACHE_DIR``           result-cache directory (default ``.repro-cache/``)
 ``REPRO_CHECKPOINTS``         ``0`` turns checkpointed warming off for sampled runs
 ``REPRO_CHECKPOINT_DIR``      snapshot-store directory (default ``.repro-checkpoints/``)
-``REPRO_CHECKPOINT_SHARDS``   trace chunks per checkpoint-generation chain (0 = auto)
 ``REPRO_RETRIES``             retries per crashed or timed-out job (default 2)
 ``REPRO_JOB_TIMEOUT``         per-job deadline in seconds on the pool (0 disables)
 ``REPRO_FAULT_PLAN``          deterministic fault injection, see
@@ -116,12 +115,10 @@ KNOBS: Tuple[Knob, ...] = (
          "use 0 for bounded functional warming", execution_only=False),
     Knob("REPRO_CHECKPOINT_DIR", _directory, ".repro-checkpoints",
          "point it at a directory, or unset it for .repro-checkpoints/"),
-    Knob("REPRO_CHECKPOINT_SHARDS", _integer(minimum=0), 0,
-         "use 0 (or unset) to size shards from the worker count"),
     Knob("REPRO_RETRIES", _integer(minimum=0), 2, "use 0 to disable retries"),
-    # Generous: a checkpoint shard job may wait up to
-    # repro.sampling.checkpoints._BOUNDARY_WAIT_SECONDS for its stitch
-    # handoff, and the deadline must never fire on a healthy machine.
+    # Generous: one checkpoint-generation job replays a whole trace prefix,
+    # which runs long at paper-scale lengths, and the deadline must never
+    # fire on a healthy machine.
     Knob("REPRO_JOB_TIMEOUT", _seconds, 3600.0,
          "seconds per job; use 0 to disable deadlines"),
     Knob("REPRO_FAULT_PLAN", _fault_plan, None,

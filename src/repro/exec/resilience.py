@@ -3,7 +3,7 @@
 The ROADMAP invariant — serial, parallel, cached, and checkpointed runs are
 bit-identical — only means something if it survives an unhealthy machine.
 This module supplies the failure semantics shared by every pool fan-out
-(simulation jobs, sampling interval jobs, checkpoint shard jobs):
+(simulation jobs, sampling interval jobs, checkpoint-generation jobs):
 
 * **Job supervision** — :func:`run_supervised` executes a job list on a
   self-managed worker pool where every assignment carries a deadline.  A
@@ -213,15 +213,15 @@ def parse_fault_plan(text: str) -> FaultPlan:
 
         worker_crash@job:3      # crash the worker on job 3's first attempt
         worker_crash@job:3*2    # ... on its first two attempts
-        hang@shard:1            # hang shard job 1 until its deadline fires
+        hang@shard:1            # hang generation job 1 until its deadline fires
         corrupt_blob@p=0.1      # corrupt ~10% of store blobs at write time
         truncate_blob@p=0.05    # truncate (partial write) ~5% of blobs
         write_error@p=0.1       # ENOSPC-style write failure on ~10% of puts
         seed=42                 # seed for the per-key blob-fault hash
 
     Job selectors are ``job:<index>`` (engine fan-out order over the
-    cache-missed specs) and ``shard:<index>`` (checkpoint shard-job plan
-    order) — exact and reproducible whatever the pool scheduling does.
+    cache-missed specs) and ``shard:<index>`` (checkpoint-generation job
+    plan order) — exact and reproducible whatever the pool scheduling does.
     """
     clauses: List[FaultClause] = []
     seed = 0
@@ -476,8 +476,7 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                       chunksize: int = 1,
                       timeout: Optional[float] = None,
                       retries: Optional[int] = None,
-                      degrade_after: Optional[int] = None,
-                      deps: Optional[Sequence[Sequence[int]]] = None):
+                      degrade_after: Optional[int] = None):
     """Supervised execution as a stream of scheduler events.
 
     The generator core of :func:`run_supervised`: yields ``("start",
@@ -488,14 +487,6 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
     every other job has completed.  The event stream is what the
     :mod:`repro.exec.dispatch` layer consumes; :func:`run_supervised`
     remains the collect-everything convenience wrapper.
-
-    ``deps`` (optional, one index sequence per job, each ``dep < index``)
-    makes the dispatch-ordering contract explicit: a chunk is not handed
-    to a worker until every dependency of its jobs has been *dispatched*.
-    Dispatch-gating (not completion-gating) preserves the checkpoint
-    chains' compose-ahead overlap — a consumer may run concurrently with
-    its producer and wait in-worker for the boundary handoff — while
-    turning what used to be pool-FIFO luck into an enforced invariant.
 
     Teardown is unconditional: leaving the generator on any path — normal
     exhaustion, ``ExperimentFailure``, ``KeyboardInterrupt`` during
@@ -511,14 +502,6 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
         labels = [f"{scope} {i}" for i in range(total)]
     else:
         labels = list(labels)
-    if deps is not None:
-        deps = [tuple(job_deps) for job_deps in deps]
-        for index, job_deps in enumerate(deps):
-            for dep in job_deps:
-                if not 0 <= dep < index:
-                    raise ValueError(
-                        f"job {index} depends on {dep}: dependencies must "
-                        f"point at earlier jobs (topological input order)")
 
     done = [False] * total
     started = [False] * total       # dispatched at least once, per job
@@ -555,14 +538,13 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
             stats["job_retries"] += 1
             ready_at[index] = (time.monotonic()
                                + backoff_delay(attempts[index], labels[index]))
-            # Retries go to the front as singletons: a shard-chain producer
-            # must be redispatched before its consumers give up waiting.
+            # Retries go to the front as singletons, so a failed job is
+            # redispatched (after its backoff) before later work.
             queue.appendleft([index])
 
     def run_serially(indices: Sequence[int]):
         """Degraded in-process execution (no deadline; crash faults are
-        worker-only, so a planned crash cannot kill the supervisor).
-        Index order respects ``deps`` because dependencies point earlier."""
+        worker-only, so a planned crash cannot kill the supervisor)."""
         for index in indices:
             if done[index] or failed[index]:
                 continue
@@ -577,13 +559,6 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
             else:
                 done[index] = True
                 yield ("done", index, value)
-
-    def blocked_on_deps(chunk: List[int]) -> bool:
-        """Whether any job in ``chunk`` has an undispatched dependency."""
-        if deps is None:
-            return False
-        return any(not (started[d] or done[d] or failed[d])
-                   for i in chunk for d in deps[i])
 
     ctx = _pool_context()
     outbox = ctx.Queue()
@@ -638,8 +613,6 @@ def supervised_events(fn: Callable[[Any], Any], payloads: Sequence[Any],
                 chunk = queue[0]
                 if any(ready_at[i] > now for i in chunk):
                     break  # backoff gate: keep dispatch in plan order
-                if blocked_on_deps(chunk):
-                    break  # dependency gate: hold plan order
                 queue.popleft()
                 chunk = [i for i in chunk if not done[i] and not failed[i]]
                 if not chunk:
@@ -760,8 +733,7 @@ def run_supervised(fn: Callable[[Any], Any], payloads: Sequence[Any],
     batches consecutive payloads per assignment (trace-memo locality, IPC
     amortisation) — a failed chunk is retried as single-job assignments so
     one poisoned job never drags its chunk-mates through every retry.
-    Assignments are handed to idle workers in list order, preserving the
-    FIFO dispatch invariant checkpoint shard chains rely on.
+    Assignments are handed to idle workers in list order.
 
     Failure semantics: worker crashes and deadline expiries are retried
     (``retries``, default ``REPRO_RETRIES``) with exponential backoff and

@@ -70,20 +70,13 @@ class ExperimentSettings:
 
     ``checkpoints`` selects how sampled intervals are warmed: ``True`` loads
     full-history snapshots from the checkpoint store
-    (:mod:`repro.sampling.checkpoints`; one O(N) functional pass per
-    workload, amortised across every configuration of a sweep), ``False``
+    (:mod:`repro.sampling.checkpoints`; one full functional pass per
+    policy group, amortised across every configuration of a sweep), ``False``
     forces the plan's bounded per-interval functional warming, and ``None``
     (the default) follows the ``REPRO_CHECKPOINTS`` environment knob
     (enabled unless set to ``0``).  The *resolved* choice is a simulation
     knob (it changes the warm state intervals start from, and therefore the
     statistics) and is part of interval result-cache keys.
-
-    ``checkpoint_shards`` is an *execution* knob like ``jobs``: how many
-    segment-aligned trace chunks the checkpoint-generation pass is stitched
-    from (``None`` follows ``REPRO_CHECKPOINT_SHARDS``; ``<= 0`` or unset
-    sizes shards from the worker count).  Excluded from equality and cache
-    keys — stitched sharded generation is bit-identical to the single pass
-    (see :mod:`repro.sampling.checkpoints`).
     """
 
     instructions: int = DEFAULT_INSTRUCTIONS
@@ -94,7 +87,6 @@ class ExperimentSettings:
     jobs: Optional[int] = field(default=None, compare=False)
     sampling: Optional[SamplingPlan] = None
     checkpoints: Optional[bool] = None
-    checkpoint_shards: Optional[int] = field(default=None, compare=False)
 
 
 def make_policy(name: str, sq_size: int = 64,

@@ -304,7 +304,11 @@ class AssociativeStoreSetsPolicy(SQPolicy):
     def store_renamed(self, store_pc: int, ssn: int) -> Optional[SATUndoRecord]:
         if self.formulation == "original":
             previous = self.store_sets.store_renamed(store_pc, ssn)
-            self._store_set_deps[ssn] = previous or 0
+            # After a flush the LFST can still name a squashed store whose
+            # SSN this store reuses (or a younger squashed one); only an
+            # older SSN is a real store-store dependence.  Waiting on
+            # itself would park the store forever.
+            self._store_set_deps[ssn] = previous if previous and previous < ssn else 0
             return None
         return self.sat.update(store_pc, ssn)
 

@@ -29,11 +29,12 @@ interval independently, and merges the records deterministically (see
 
 Checkpointed functional warming (PR 3, :mod:`repro.sampling.checkpoints`)
 removes the bounded-warming lukewarm bias at amortised cost: one full
-functional pass per workload snapshots the warmed machine state at every
-interval start into a content-addressed on-disk store shared by every
-configuration of a sweep (and by later runs); interval jobs load snapshots
-instead of re-warming.  On by default for sampled runs — disable with
-``REPRO_CHECKPOINTS=0`` or ``ExperimentSettings.checkpoints=False``.
+functional pass per workload (one per policy group on a pool) snapshots
+the warmed machine state at every interval start into a content-addressed
+on-disk store shared by every configuration of a sweep (and by later
+runs); interval jobs load snapshots instead of re-warming.  On by default
+for sampled runs — disable with ``REPRO_CHECKPOINTS=0`` or
+``ExperimentSettings.checkpoints=False``.
 
 This package's ``__init__`` exports only the dependency-light plan/result
 types; import :mod:`repro.sampling.driver`,

@@ -1,16 +1,17 @@
-"""Checkpointed functional warming: one O(N) pass per workload, shared on disk.
+"""Checkpointed functional warming: full-history passes, shared on disk.
 
 Bounded functional warming (PR 2) keeps sampled runs ``O(sampled)`` but
 cannot reproduce machine history older than its horizon, which leaves a
 recorded lukewarm CPI bias on cache-heavy workloads at paper-scale counts.
-This module removes that bias at amortised cost: a **single full-trace
-functional pass per workload** serialises the warmed machine state at every
-interval start into a content-addressed on-disk **checkpoint store**, and
-every interval job of every configuration in a sweep then *loads* its
-snapshot (via :meth:`~repro.pipeline.core.OutOfOrderCore.import_state`)
-instead of re-warming.  Because snapshots carry full history, the remaining
-error is detailed-warmup-only — the faithful SMARTS configuration — while
-the O(N) replay is paid once per workload rather than once per
+This module removes that bias at amortised cost: **one full-trace
+functional pass per policy group** (see *Generation jobs* below)
+serialises the warmed machine state at every interval start into a
+content-addressed on-disk **checkpoint store**, and every interval job
+of every configuration in a sweep then *loads* its snapshot (via
+:meth:`~repro.pipeline.core.OutOfOrderCore.import_state`) instead of
+re-warming.  Because snapshots carry full history, the remaining error
+is detailed-warmup-only — the faithful SMARTS configuration — while
+the O(N) replay is paid once per policy group rather than once per
 ``(configuration, interval)``.
 
 Storage layout (one pickle per entry, exactly like the result cache):
@@ -31,7 +32,7 @@ Storage layout (one pickle per entry, exactly like the result cache):
   re-emitting trace content entirely.  Windows and segments are stored in
   encoded two-plane form (:class:`~repro.isa.plane.EncodedOps`, schema v2):
   flat arrays that unpickle far cheaper than they recompose, which is what
-  lets sharded generation share whole composed chunks through the segment
+  lets concurrent generation jobs share composed segments through the segment
   memo (``build_workload_window(..., disk_memo=True)`` in
   :mod:`repro.workloads.suites`).
 
@@ -43,34 +44,21 @@ safe.  Corrupt or truncated snapshot files are repaired in place: the
 affected interval recomputes the exact same full-history state in-process
 (never a silently-lukewarm result, never a crash).
 
-**Sharded generation** (PR 4): the O(N) generation pass itself is
-decomposed into a grid of pool-sized **shard jobs** — contiguous
-segment-aligned trace *chunks* crossed with *policy groups* — and stitched
-back together through **boundary snapshots**:
+**Generation jobs**: the O(N) pass is planned as one job per *policy
+group*.  A workload group's missing configurations are dealt round-robin
+into up to ``workers // #workload groups`` groups; each group's job replays
+the full warming prefix once, warming its configurations simultaneously.
+Policies are independent folds over the shared replay stream, so the
+per-group passes are bit-identical to the one multi-policy pass; the group
+carrying ``write_shared`` also emits the shared snapshots and window memos.
+The jobs have no dependencies on one another and fan out through
+:func:`repro.exec.dispatch.dispatch`.  Every job is a full-history pass, as
+SMARTS checkpointed warming prescribes (Wunderlich et al., ISCA 2003).
 
-* a *policy group* warms a subset of a sweep's configurations through its
-  own full replay (policies are independent folds over the shared replay
-  stream, so per-group passes are bit-identical to the one multi-policy
-  pass; the group carrying ``write_shared`` also emits the shared
-  snapshots and window memos);
-* a *chunk* job resumes a group's replay from the previous chunk's
-  exported :class:`BoundaryState` (stitch handoff through the store) and
-  emits the snapshots of the intervals whose detailed-warmup start falls
-  inside its chunk.  Because functional warming is a deterministic fold,
-  the stitched snapshots are **bit-identical** to the single-pass ones
-  (validated at handoff, unit- and CI-tested end to end);
-* jobs are fanned out **chunk-major** over the engine pool: a worker whose
-  boundary has not arrived yet *precomposes its chunk's trace segments*
-  while it waits, which moves composition — the largest share of the pass
-  — off the sequential stitch chain.  A handoff that never arrives (or
-  arrives damaged) falls back to an exact in-process prefix recompute:
-  slower, never wrong.
-
-``REPRO_CHECKPOINTS`` (``0`` disables checkpointing), ``REPRO_CHECKPOINT_DIR``
-(store location, safe to delete) and ``REPRO_CHECKPOINT_SHARDS`` (trace
-chunks per generation chain) are parsed by :mod:`repro.exec.knobs`.
-``ExperimentSettings.checkpoints`` / ``ExperimentSettings.checkpoint_shards``
-override the environment per run (``None`` means "follow the environment").
+``REPRO_CHECKPOINTS`` (``0`` disables checkpointing) and
+``REPRO_CHECKPOINT_DIR`` (store location, safe to delete) are parsed by
+:mod:`repro.exec.knobs`.  ``ExperimentSettings.checkpoints`` overrides the
+environment per run (``None`` means "follow the environment").
 """
 
 from __future__ import annotations
@@ -78,7 +66,6 @@ from __future__ import annotations
 import json
 import hashlib
 import os
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -126,23 +113,6 @@ def resolve_checkpointed(settings) -> bool:
     if explicit is None:
         return checkpoints_enabled()
     return bool(explicit)
-
-
-def resolve_checkpoint_shards(settings=None) -> int:
-    """The requested trace-chunk count per generation chain.
-
-    ``settings.checkpoint_shards`` wins when not ``None``; otherwise the
-    ``REPRO_CHECKPOINT_SHARDS`` environment variable applies.  ``0`` (also
-    any value <= 0, or nothing configured) means *auto*: the generation
-    planner sizes chunks from the worker count.  Purely an execution knob —
-    stitched sharded generation is bit-identical to the single pass, so it
-    never participates in snapshot or result-cache keys.
-    """
-    explicit = getattr(settings, "checkpoint_shards", None) \
-        if settings is not None else None
-    if explicit is None:
-        explicit = knobs.value("REPRO_CHECKPOINT_SHARDS")
-    return max(0, int(explicit))
 
 
 class CheckpointStore(ResultCache):
@@ -242,23 +212,6 @@ def window_key(workload: str, settings: "ExperimentSettings",
     return _digest(payload)
 
 
-def boundary_key(workload: str, settings: "ExperimentSettings",
-                 identities: Sequence[PolicyIdentity], position: int) -> str:
-    """Key of one generation chain's stitch handoff at ``position``.
-
-    Covers the chain's policy-group identity list (different groups at the
-    same boundary carry different policy state) on top of the shared
-    payload; boundary blobs are transient — consumed by the next chunk job
-    and discarded once the whole generation stage has stitched.
-    """
-    payload = _shared_payload(workload, settings)
-    payload["kind"] = "functional-boundary"
-    payload["position"] = position
-    payload["identities"] = [_identity_token(identity)
-                             for identity in identities]
-    return _digest(payload)
-
-
 def segment_store() -> Optional[CheckpointStore]:
     """The store used for the on-disk trace-segment memo, or ``None`` when
     checkpointing is disabled by the environment."""
@@ -312,8 +265,8 @@ def shared_signature(shared: SharedWarmState) -> tuple:
     Composes the per-structure ``state_signature()`` methods (exactly the
     structures :meth:`~repro.pipeline.core.OutOfOrderCore.import_state`
     adopts), so two snapshots with equal signatures warm a detailed core
-    identically — the equality the stitched-vs-single-pass bit-identity
-    tests and the CI sharded-generation smoke assert per interval.
+    identically — the equality the policy-group-vs-single-pass bit-identity
+    tests and the CI generation smoke assert per interval.
     """
     return (
         shared.branch_unit.state_signature(),
@@ -326,30 +279,18 @@ def shared_signature(shared: SharedWarmState) -> tuple:
     )
 
 
-@dataclass
-class BoundaryState:
-    """One generation chain's stitch handoff at a chunk boundary.
-
-    Carries the full resumable replay state — the shared half plus every
-    policy of the chain's group, warmed over ``[0, position)`` — so the
-    next chunk's worker continues the fold exactly where this one stopped.
-    """
-
-    shared: SharedWarmState
-    policies: List
-    position: int
-
-
 # --------------------------------------------------------------- generation --
 
 @dataclass(frozen=True)
 class CheckpointJobSpec:
-    """One checkpoint-generation pass, described by value (pool-friendly).
+    """One checkpoint-generation job, described by value (pool-friendly).
 
-    ``identities`` names the policy snapshots to produce (may be empty when
-    only the shared snapshots are missing); ``write_shared`` asks for the
-    shared snapshots too.  The pass always replays the full warming prefix
-    once, warming every listed policy simultaneously.
+    The job replays the full warming prefix of ``workload`` once, warming
+    every policy in ``identities`` simultaneously, and writes one policy
+    snapshot per identity at each interval's detailed-warmup start.
+    ``identities`` may be empty when only the shared snapshots are
+    missing; ``write_shared`` asks for the shared snapshots and window
+    memos too.
     """
 
     workload: str
@@ -357,6 +298,12 @@ class CheckpointJobSpec:
     identities: Tuple[PolicyIdentity, ...]
     write_shared: bool
     directory: str
+    #: Read/write composed segments through the on-disk segment memo.  Set
+    #: by the planner whenever the generation grid has more than one job
+    #: (every policy group replays the same segments); a lone job composes
+    #: in memory only, so it cannot flood the store with segments nothing
+    #: re-reads.
+    disk_memo: bool = False
 
 
 def _identity_token(identity: PolicyIdentity) -> str:
@@ -367,22 +314,27 @@ def _identity_token(identity: PolicyIdentity) -> str:
 
 
 def plan_generation(store: CheckpointStore, interval_specs: Sequence,
-                    ) -> Tuple[List[CheckpointJobSpec], int]:
-    """Work out which generation passes a set of interval jobs still needs.
+                    workers: int = 1,
+                    ) -> Tuple[List[CheckpointJobSpec], Dict[str, int]]:
+    """Plan the generation jobs a set of interval jobs still needs.
 
     ``interval_specs`` are (typically cache-missed) checkpointed
     :class:`~repro.exec.jobs.IntervalJobSpec`; they are grouped by shared
     identity (workload, trace length, seed, plan, core configuration), and
     each group is probed for missing shared/policy snapshots across *all*
-    intervals of its plan.  Returns ``(requests, total_identities)`` where
-    ``total_identities`` counts every (group, configuration) pair seen —
-    ``total_identities - sum(len(r.identities) for r in requests)`` is the
-    number whose *policy* snapshots are already present.  A group whose
-    policy snapshots all hit but whose shared snapshots are damaged still
-    yields a request (``write_shared=True``, empty ``identities``): such a
-    pass regenerates shared state only, so "no work done" is ``requests ==
-    []`` (the engine's ``checkpoint_passes`` stat), not merely "zero
-    generated identities".
+    intervals of its plan.  A group with work gets one job per policy
+    group: its missing identities are dealt round-robin into
+    ``min(#identities, workers // #groups with work)`` jobs (at least
+    one), and the first job inherits the ``write_shared`` duty.  A group
+    whose policy snapshots all hit but whose shared snapshots are damaged
+    still gets one job (``write_shared=True``, empty ``identities``).
+
+    Returns ``(jobs, stats)``; ``stats`` holds the engine's
+    ``checkpoint_identities`` (every (group, configuration) pair seen),
+    ``checkpoint_generated``/``checkpoint_reused`` (identities with
+    missing / present policy snapshots), ``checkpoint_passes`` (groups
+    with work, so "no work done" is ``checkpoint_passes == 0``) and
+    ``checkpoint_chains`` (``len(jobs)``).
     """
     groups: Dict[str, dict] = {}
     for spec in interval_specs:
@@ -395,9 +347,8 @@ def plan_generation(store: CheckpointStore, interval_specs: Sequence,
         identity = (spec.config_name, spec.settings.sq_size, spec.predictors)
         group["identities"].setdefault(_identity_token(identity), identity)
 
-    requests: List[CheckpointJobSpec] = []
+    pending = []
     total_identities = 0
-    directory = str(store.directory)
     for group in groups.values():
         workload = group["workload"]
         settings = group["settings"]
@@ -412,11 +363,27 @@ def plan_generation(store: CheckpointStore, interval_specs: Sequence,
                                                         identity, i))
                           for i in range(count))]
         if write_shared or missing:
-            requests.append(CheckpointJobSpec(
-                workload=workload, settings=settings,
-                identities=tuple(missing), write_shared=write_shared,
-                directory=directory))
-    return requests, total_identities
+            pending.append((workload, settings, missing, write_shared))
+
+    chains = []
+    for workload, settings, missing, write_shared in pending:
+        group_count = max(1, min(len(missing), workers // len(pending)))
+        for g in range(group_count):
+            chains.append((workload, settings, tuple(missing[g::group_count]),
+                           write_shared and g == 0))
+    directory = str(store.directory)
+    jobs = [CheckpointJobSpec(workload=workload, settings=settings,
+                              identities=identities, write_shared=write_shared,
+                              directory=directory, disk_memo=len(chains) > 1)
+            for workload, settings, identities, write_shared in chains]
+    generated = sum(len(missing) for _w, _s, missing, _ws in pending)
+    return jobs, {
+        "checkpoint_identities": total_identities,
+        "checkpoint_generated": generated,
+        "checkpoint_reused": total_identities - generated,
+        "checkpoint_passes": len(pending),
+        "checkpoint_chains": len(jobs),
+    }
 
 
 def generate_checkpoints(store: CheckpointStore, workload: str,
@@ -428,23 +395,12 @@ def generate_checkpoints(store: CheckpointStore, workload: str,
     Warms all ``identities`` simultaneously (plus the shared structures) and
     writes one shared snapshot (when ``write_shared``) and one policy
     snapshot per identity at each interval's detailed-warmup start.  Returns
-    the number of snapshot points written.
-
-    This is the single-pass reference: it executes one
-    :class:`ShardJobSpec` covering the whole warming span, the same code
-    path sharded generation stitches in chunks — there is exactly one
-    emission implementation, so the two schemes cannot drift.
+    the number of snapshot points written.  A by-argument front end to
+    :func:`run_shard_job`, the one emission loop.
     """
-    plan = settings.sampling
-    if plan is None:
-        raise ValueError("settings carry no sampling plan")
-    windows = plan.intervals(settings.instructions)
-    span = windows[-1].detailed_start
-    return run_shard_job(ShardJobSpec(
+    return run_shard_job(CheckpointJobSpec(
         workload=workload, settings=settings, identities=tuple(identities),
-        write_shared=write_shared, chunk_index=0, chunk_start=0,
-        chunk_end=span, last=True, boundaries=(0,),
-        directory=str(store.directory)))
+        write_shared=write_shared, directory=str(store.directory)))
 
 
 def interval_window_uops(workload: str, settings: "ExperimentSettings",
@@ -461,149 +417,7 @@ def interval_window_uops(workload: str, settings: "ExperimentSettings",
                                  disk_memo=disk_memo)
 
 
-def run_checkpoint_job(request: CheckpointJobSpec) -> int:
-    """Execute one generation request as a single unsharded pass."""
-    store = CheckpointStore(request.directory)
-    return generate_checkpoints(store, request.workload, request.settings,
-                                request.identities,
-                                write_shared=request.write_shared)
-
-
-# ----------------------------------------------------------------- sharding --
-
-#: How long a chunk job waits for its stitch handoff before falling back to
-#: an exact in-process prefix recompute.  Generous: the chain ahead of it is
-#: replaying real trace prefixes, and a premature fallback costs O(prefix).
-_BOUNDARY_WAIT_SECONDS = 900.0
-
-#: Poll cadence while waiting (the handoff lands as one atomic rename).
-_BOUNDARY_POLL_SECONDS = 0.01
-
-
-@dataclass(frozen=True)
-class ShardJobSpec:
-    """One stitched chunk of one generation chain, described by value.
-
-    A *chain* is a policy group's full-trace replay; ``boundaries`` lists
-    the chain's chunk start positions (segment-aligned, ``boundaries[0] ==
-    0``) and this job covers ``[chunk_start, chunk_end)``, emitting the
-    snapshots of every interval whose detailed-warmup start lies inside
-    (the ``last`` chunk also owns ``detailed_start == chunk_end``).  Jobs
-    with ``chunk_index > 0`` resume from the previous chunk's
-    :class:`BoundaryState`; jobs that are not ``last`` export their own at
-    ``chunk_end``.
-    """
-
-    workload: str
-    settings: "ExperimentSettings"
-    identities: Tuple[PolicyIdentity, ...]
-    write_shared: bool
-    chunk_index: int
-    chunk_start: int
-    chunk_end: int
-    last: bool
-    boundaries: Tuple[int, ...]
-    directory: str
-    #: Read/write composed segments through the on-disk segment memo.  Set
-    #: by the planner whenever the generation grid has more than one job
-    #: (several chains re-read the same segments, and compose-ahead workers
-    #: share what they precompose); a lone single-pass job composes in
-    #: memory only, so it cannot flood the store with segments nothing
-    #: re-reads.
-    disk_memo: bool = False
-    #: Which generation chain this chunk belongs to (the planner's chain
-    #: ordinal).  Purely an execution-plan coordinate: it lets the
-    #: dispatcher express the stitch order ``chain[k-1] -> chain[k]`` as
-    #: an explicit job dependency instead of pool-FIFO luck, and never
-    #: reaches a store key.
-    chain: int = 0
-
-
-def plan_shard_jobs(store: CheckpointStore,
-                    requests: Sequence[CheckpointJobSpec],
-                    workers: int = 1,
-                    ) -> Tuple[List[ShardJobSpec], Dict[str, int]]:
-    """Decompose generation requests into a chunk-major shard-job list.
-
-    Each request (one workload group) is split along two axes:
-
-    * **policy groups** — its identities are dealt round-robin into up to
-      ``workers // len(requests)`` chains (policies are independent folds
-      over the shared replay stream, so per-group passes reproduce the one
-      multi-policy pass exactly); group 0 inherits the request's
-      ``write_shared`` duty (shared snapshots + window memos).
-    * **trace chunks** — each chain's warming span is cut on
-      ``TRACE_SEGMENT_UOPS`` boundaries into K contiguous chunks
-      (``REPRO_CHECKPOINT_SHARDS`` / ``settings.checkpoint_shards``;
-      *auto* sizes K to soak up workers left idle by the chain count),
-      stitched at run time through :class:`BoundaryState` handoffs.
-
-    The returned list is ordered chunk-major across every chain, which —
-    executed FIFO with ``chunksize=1`` — guarantees a job's handoff
-    producer is always dispatched before (or with) the job itself, so
-    in-worker boundary waits cannot deadlock the pool.
-    """
-    from repro.workloads.suites import TRACE_SEGMENT_UOPS
-
-    directory = str(store.directory)
-    chains: List[Tuple[CheckpointJobSpec, Tuple[PolicyIdentity, ...], bool]] = []
-    for request in requests:
-        identities = list(request.identities)
-        if not identities:
-            chains.append((request, (), request.write_shared))
-            continue
-        group_count = min(len(identities),
-                          max(1, workers // max(1, len(requests))))
-        for g in range(group_count):
-            chains.append((request, tuple(identities[g::group_count]),
-                           request.write_shared and g == 0))
-
-    per_chain: List[Tuple[List[int], Tuple]] = []
-    max_chunks = 1
-    for request, identities, write_shared in chains:
-        settings = request.settings
-        windows = settings.sampling.intervals(settings.instructions)
-        span = windows[-1].detailed_start
-        segments = max(1, -(-span // TRACE_SEGMENT_UOPS))
-        chunks = resolve_checkpoint_shards(settings)
-        if chunks <= 0:
-            chunks = max(1, workers // max(1, len(chains)))
-        chunks = min(chunks, segments)
-        base, extra = divmod(segments, chunks)
-        bounds = [0]
-        position = 0
-        for i in range(chunks):
-            position += base + (1 if i < extra else 0)
-            bounds.append(min(position * TRACE_SEGMENT_UOPS, span))
-        max_chunks = max(max_chunks, chunks)
-        per_chain.append((bounds, (request, identities, write_shared)))
-
-    total_jobs = sum(len(bounds) - 1 for bounds, _chain in per_chain)
-    jobs: List[ShardJobSpec] = []
-    for chunk_index in range(max_chunks):
-        for chain_id, (bounds, (request, identities, write_shared)) \
-                in enumerate(per_chain):
-            if chunk_index >= len(bounds) - 1:
-                continue
-            jobs.append(ShardJobSpec(
-                workload=request.workload, settings=request.settings,
-                identities=identities, write_shared=write_shared,
-                chunk_index=chunk_index,
-                chunk_start=bounds[chunk_index],
-                chunk_end=bounds[chunk_index + 1],
-                last=chunk_index == len(bounds) - 2,
-                boundaries=tuple(bounds[:-1]),
-                directory=directory,
-                disk_memo=total_jobs > 1,
-                chain=chain_id))
-    return jobs, {
-        "checkpoint_chains": len(chains),
-        "checkpoint_shards": max_chunks,
-        "checkpoint_shard_jobs": len(jobs),
-    }
-
-
-def _fresh_policies(spec: ShardJobSpec) -> List:
+def _fresh_policies(spec: CheckpointJobSpec) -> List:
     from repro.harness.runner import make_policy
 
     if spec.identities:
@@ -616,136 +430,44 @@ def _fresh_policies(spec: ShardJobSpec) -> List:
     return [SQPolicy(sq_size=spec.settings.sq_size)]
 
 
-def _load_boundary(spec: ShardJobSpec, store: CheckpointStore,
-                   position: int) -> Optional[BoundaryState]:
-    """Load and stitch-validate a boundary handoff (``None`` when absent,
-    corrupt, or inconsistent with this chain — all handled by fallback)."""
-    state = store.get(boundary_key(spec.workload, spec.settings,
-                                   spec.identities, position))
-    if (isinstance(state, BoundaryState)
-            and state.position == position
-            and len(state.policies) == max(1, len(spec.identities))
-            and state.shared.instructions_warmed == position):
-        return state
-    return None
-
-
-def _await_boundary(spec: ShardJobSpec,
-                    store: CheckpointStore) -> Optional[BoundaryState]:
-    """Wait for this chunk's handoff, precomposing the chunk meanwhile.
-
-    Trace composition is state-independent, so the wait is productive: the
-    worker composes the segments its warm loop is about to read, which
-    takes composition — the largest share of the pass — off the sequential
-    stitch chain.  Precomposition covers the *whole* chunk and writes
-    through the on-disk segment memo (``disk_memo=True``): segments are
-    encoded two-plane streams that unpickle far cheaper than they
-    recompose, so a segment evicted from the small per-process memo — or
-    needed by another chain's worker — is reloaded, not recomposed.  (The
-    old object-list encoding pickled *slower* than recomposition, which
-    capped compose-ahead at ~10 in-memory segments per chunk.)
-    """
-    from repro.workloads.suites import TRACE_SEGMENT_UOPS, build_workload_window
-
-    settings = spec.settings
-    segment = TRACE_SEGMENT_UOPS
-    next_segment = spec.chunk_start // segment
-    last_segment = max(spec.chunk_end - 1, spec.chunk_start) // segment
-    deadline = time.monotonic() + _BOUNDARY_WAIT_SECONDS
-    while True:
-        boundary = _load_boundary(spec, store, spec.chunk_start)
-        if boundary is not None:
-            return boundary
-        if next_segment <= last_segment:
-            lo = next_segment * segment
-            hi = min(lo + segment, settings.instructions)
-            if hi > lo:
-                build_workload_window(spec.workload, settings.instructions,
-                                      settings.seed, lo, hi, disk_memo=True)
-            next_segment += 1
-            continue
-        if time.monotonic() > deadline:
-            return None
-        time.sleep(_BOUNDARY_POLL_SECONDS)
-
-
-def _advance(warmer: FunctionalWarmer, spec: ShardJobSpec, position: int,
-             target: int) -> int:
+def _advance(warmer: FunctionalWarmer, workload: str,
+             settings: "ExperimentSettings", position: int, target: int,
+             disk_memo: bool) -> int:
     """Warm ``[position, target)`` segment-aligned.
 
-    ``spec.disk_memo`` routes segment composition through the encoded
-    on-disk segment memo on sharded grids (chains share composed segments;
-    the compose-ahead of waiting workers is consumed here); a lone
-    single-pass job composes in memory, as the original single pass did.
+    ``disk_memo`` routes segment composition through the encoded on-disk
+    segment memo, so concurrent policy-group jobs share composed segments.
     """
     from repro.workloads.suites import TRACE_SEGMENT_UOPS, build_workload_window
 
-    settings = spec.settings
     while position < target:
         step = min(target,
                    (position // TRACE_SEGMENT_UOPS + 1) * TRACE_SEGMENT_UOPS)
         warmer.warm(build_workload_window(
-            spec.workload, settings.instructions, settings.seed,
-            position, step, disk_memo=spec.disk_memo))
+            workload, settings.instructions, settings.seed,
+            position, step, disk_memo=disk_memo))
         position = step
     return position
 
 
-def _resume_warmer(spec: ShardJobSpec,
-                   store: CheckpointStore) -> FunctionalWarmer:
-    """A warmer holding the exact replay state at ``spec.chunk_start``.
+def run_shard_job(spec: CheckpointJobSpec) -> int:
+    """Execute one generation job; returns snapshot points written.
 
-    Chunk 0 starts cold (fresh policies, the single pass's construction);
-    later chunks adopt their stitch handoff.  A handoff that never arrives
-    or fails validation walks back to the newest earlier boundary still
-    present — or to a cold start — and recomputes the exact prefix
-    in-process: slower, never wrong, never silently different.
-    """
-    settings = spec.settings
-    base: Optional[BoundaryState] = None
-    if spec.chunk_index > 0:
-        base = _await_boundary(spec, store)
-        if base is None:
-            for position in reversed(spec.boundaries[1:spec.chunk_index]):
-                base = _load_boundary(spec, store, position)
-                if base is not None:
-                    break
-    if base is None:
-        warmer = FunctionalWarmer(settings.core, policies=_fresh_policies(spec))
-        position = 0
-    else:
-        warmer = FunctionalWarmer(
-            settings.core, policies=base.policies,
-            state=_assemble(settings, base.shared, base.policies[0]),
-            start_index=base.position)
-        position = base.position
-    _advance(warmer, spec, position, spec.chunk_start)
-    return warmer
-
-
-def run_shard_job(spec: ShardJobSpec) -> int:
-    """Execute one stitched chunk job; returns snapshot points written.
-
-    Resumes the chain's replay at ``chunk_start``, emits the snapshots of
-    the intervals this chunk owns (shared + window memo when
-    ``write_shared``, one policy snapshot per group identity), and — unless
-    this is the chain's last chunk — warms through to ``chunk_end`` and
-    exports the next handoff.
+    Replays the warming prefix from a cold machine and, at each interval's
+    detailed-warmup start, emits the shared snapshot and window memo (when
+    ``write_shared``) and one policy snapshot per identity.
     """
     store = CheckpointStore(spec.directory)
     settings = spec.settings
     plan = settings.sampling
     if plan is None:
-        raise ValueError("shard spec has no sampling plan")
+        raise ValueError("settings carry no sampling plan")
     windows = plan.intervals(settings.instructions)
-    mine = [window for window in windows
-            if spec.chunk_start <= window.detailed_start < spec.chunk_end
-            or (spec.last and window.detailed_start == spec.chunk_end)]
-
-    warmer = _resume_warmer(spec, store)
-    position = spec.chunk_start
-    for window in mine:
-        position = _advance(warmer, spec, position, window.detailed_start)
+    warmer = FunctionalWarmer(settings.core, policies=_fresh_policies(spec))
+    position = 0
+    for window in windows:
+        position = _advance(warmer, spec.workload, settings, position,
+                            window.detailed_start, spec.disk_memo)
         if spec.write_shared:
             store.put(shared_key(spec.workload, settings, window.index),
                       _shared_snapshot(warmer.state))
@@ -758,58 +480,29 @@ def run_shard_job(spec: ShardJobSpec) -> int:
         for identity, policy in zip(spec.identities, warmer.policies):
             store.put(policy_key(spec.workload, settings, identity,
                                  window.index), policy)
-    if not spec.last:
-        position = _advance(warmer, spec, position, spec.chunk_end)
-        store.put(boundary_key(spec.workload, settings, spec.identities,
-                               spec.chunk_end),
-                  BoundaryState(shared=_shared_snapshot(warmer.state),
-                                policies=list(warmer.policies),
-                                position=spec.chunk_end))
-    return len(mine)
+    return len(windows)
 
 
-def execute_generation(store: CheckpointStore,
-                       requests: Sequence[CheckpointJobSpec],
-                       jobs: int = 1) -> Dict[str, int]:
-    """Run the generation stage for ``requests``, sharded over ``jobs``.
+def execute_generation(jobs: Sequence[CheckpointJobSpec],
+                       workers: int = 1) -> None:
+    """Run planned generation jobs over up to ``workers`` processes.
 
-    Plans the (chunk x policy-group) shard grid and fans it out through
-    the execution-backend seam (:func:`repro.exec.dispatch.dispatch`),
-    with each chunk's handoff producer expressed as an **explicit job
-    dependency** (``chain[k-1] -> chain[k]``) rather than relying on
-    pool-FIFO dispatch order: the supervised pool dispatch-gates (a
-    consumer may run alongside its producer and compose ahead while
-    waiting in-worker) and the serial reference runs the chunk-major plan
-    order — both preserve the deadlock-freedom invariant.  A crashed or hung shard job is
-    retried — shard jobs are idempotent folds, and consumers of a retried
-    producer's handoff either keep waiting within their bounded window or
-    walk back and recompute the prefix.  Afterwards the transient
-    boundary handoffs are discarded — once stitched they are dead weight,
-    and sweeping them keeps CI-persisted stores lean.  Returns the shard
-    counters for the engine's ``last_run_stats``.
+    The jobs are independent, so they fan out through the execution
+    backend seam (:func:`repro.exec.dispatch.dispatch`) with no ordering
+    constraints: in-process for one worker, the supervised pool otherwise.
+    A crashed or hung job is retried; generation jobs are idempotent folds.
     """
     from repro.exec.backend import DispatchJob, resolve_backend
     from repro.exec.dispatch import dispatch
 
-    shard_jobs, stats = plan_shard_jobs(store, requests, workers=jobs)
-    if shard_jobs:
-        workers = min(jobs, len(shard_jobs))
-        position_of = {(job.chain, job.chunk_index): position
-                       for position, job in enumerate(shard_jobs)}
-        dispatch_jobs = [
-            DispatchJob(
-                index=position, payload=job,
-                label=f"{job.workload}:chunk{job.chunk_index}",
-                deps=((position_of[(job.chain, job.chunk_index - 1)],)
-                      if job.chunk_index > 0 else ()))
-            for position, job in enumerate(shard_jobs)]
-        dispatch(resolve_backend(workers), run_shard_job, dispatch_jobs,
-                 scope="shard", chunksize=1)
-    for job in shard_jobs:
-        if not job.last:
-            store.discard(boundary_key(job.workload, job.settings,
-                                       job.identities, job.chunk_end))
-    return stats
+    if not jobs:
+        return
+    dispatch_jobs = [
+        DispatchJob(index=position, payload=job,
+                    label=f"{job.workload}:group{position}")
+        for position, job in enumerate(jobs)]
+    dispatch(resolve_backend(min(workers, len(jobs))), run_shard_job,
+             dispatch_jobs, scope="shard", chunksize=1)
 
 
 # ------------------------------------------------------------------ loading --
@@ -848,7 +541,6 @@ def load_interval_state(spec, window) -> FunctionalState:
     bit-identical whatever the store's condition.
     """
     from repro.harness.runner import make_policy
-    from repro.workloads.suites import TRACE_SEGMENT_UOPS, build_workload_window
 
     store = CheckpointStore(spec.checkpoint_dir)
     settings = spec.settings
@@ -865,13 +557,8 @@ def load_interval_state(spec, window) -> FunctionalState:
         settings.core,
         make_policy(spec.config_name, sq_size=settings.sq_size,
                     predictors=spec.predictors))
-    position = 0
-    while position < window.detailed_start:
-        chunk_end = min(window.detailed_start, position + TRACE_SEGMENT_UOPS)
-        warmer.warm(build_workload_window(
-            spec.workload, settings.instructions, settings.seed,
-            position, chunk_end, disk_memo=False))
-        position = chunk_end
+    _advance(warmer, spec.workload, settings, 0, window.detailed_start,
+             disk_memo=False)
     state = warmer.export_state()
     store.put(skey, _shared_snapshot(state))
     store.put(pkey, state.policy)

@@ -247,7 +247,7 @@ def run_sampled_workload(workload: str, config_name: str,
         CheckpointStore,
         plan_generation,
         resolve_checkpointed,
-        run_checkpoint_job,
+        run_shard_job,
     )
 
     spec = JobSpec(workload, config_name, settings, predictors)
@@ -256,9 +256,9 @@ def run_sampled_workload(workload: str, config_name: str,
         store = CheckpointStore(checkpoint_dir)
         interval_specs = expand_sampled_spec(
             spec, checkpointed=True, checkpoint_dir=str(store.directory))
-        requests, _total = plan_generation(store, interval_specs)
-        for request in requests:
-            run_checkpoint_job(request)
+        jobs, _stats = plan_generation(store, interval_specs)
+        for job in jobs:
+            run_shard_job(job)
     else:
         interval_specs = expand_sampled_spec(spec)
     records = [run_interval_job(interval_spec)

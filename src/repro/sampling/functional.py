@@ -101,22 +101,14 @@ class FunctionalWarmer:
     training hooks run against them (``policy`` then defaults to the first
     entry, which :attr:`state` and :meth:`export_state` expose).
 
-    **Resumption**: passing ``state`` adopts an already-warmed
-    :class:`FunctionalState` (e.g. a shard-boundary snapshot from the
-    checkpoint store) instead of constructing cold structures, so a replay
-    can continue from an arbitrary trace position.  ``start_index`` must
-    then be the absolute dynamic-instruction index the adopted state was
-    warmed to; because :meth:`warm` is a deterministic fold over the
-    micro-op stream, warming ``[0, a)`` then resuming over ``[a, b)`` is
-    exactly the single pass over ``[0, b)`` — this is what makes stitched
-    sharded checkpoint generation bit-identical to the single-pass scheme
-    (:mod:`repro.sampling.checkpoints`).
+    ``start_index`` is the absolute dynamic-instruction index of the first
+    micro-op warmed, so bounded warming that starts mid-trace keeps the
+    in-flight-window distances of the full trace.
     """
 
     def __init__(self, config: CoreConfig, policy: Optional[SQPolicy] = None,
                  start_index: int = 0,
-                 policies: Optional[Sequence[SQPolicy]] = None,
-                 state: Optional[FunctionalState] = None) -> None:
+                 policies: Optional[Sequence[SQPolicy]] = None) -> None:
         if policies is None:
             if policy is None:
                 raise ValueError("provide a policy (or a policies sequence)")
@@ -127,21 +119,14 @@ class FunctionalWarmer:
         self._policies: List[SQPolicy] = list(policies)
         if not self._policies:
             raise ValueError("at least one policy is required")
-        if state is not None:
-            # Adopt (not copy) the handed-off state; the caller owns it.
-            # Multi-policy resumption re-binds ``state.policy`` to the
-            # first listed policy so the bundle stays self-consistent.
-            state.policy = self._policies[0]
-            self.state = state
-        else:
-            self.state = FunctionalState(
-                config=config,
-                branch_unit=BranchUnit(config.branch_predictor),
-                hierarchy=build_hierarchy(config.memory),
-                memory=MemoryImage(),
-                ssn_alloc=SSNAllocator(bits=config.ssn_bits),
-                policy=self._policies[0],
-            )
+        self.state = FunctionalState(
+            config=config,
+            branch_unit=BranchUnit(config.branch_predictor),
+            hierarchy=build_hierarchy(config.memory),
+            memory=MemoryImage(),
+            ssn_alloc=SSNAllocator(bits=config.ssn_bits),
+            policy=self._policies[0],
+        )
         #: Dynamic instruction index of the next micro-op (used for the
         #: in-flight-window approximation; offsets into the full trace keep
         #: the distances meaningful when warming starts mid-trace).
@@ -246,7 +231,7 @@ class FunctionalWarmer:
 
         For multi-policy warming the bundle carries the *first* policy; the
         checkpoint store persists the other policies' state individually
-        (:func:`repro.sampling.checkpoints.generate_checkpoints`) and
+        (:func:`repro.sampling.checkpoints.run_shard_job`) and
         reassembles per-configuration bundles at load time.
         """
         return self.state

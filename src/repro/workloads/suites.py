@@ -277,8 +277,8 @@ def build_workload_window(name: str, instructions: int, seed: int,
     ``disk_memo=True`` additionally memoises the touched segments in the
     checkpoint store (when ``REPRO_CHECKPOINTS`` enables it) — an explicit
     opt-in for callers that re-read the same segments across processes or
-    runs (checkpoint generation's stitched chunk jobs and their
-    compose-ahead; encoded segments unpickle cheaper than they recompose).
+    runs (concurrent checkpoint-generation jobs of one workload; encoded
+    segments unpickle cheaper than they recompose).
     It stays off by default: a library call must not write stores into the
     caller's working directory as a side effect, and one-shot windows cost
     more to write through than the memo can repay — checkpointed interval

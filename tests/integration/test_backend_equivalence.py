@@ -7,7 +7,7 @@ bit for bit — not merely agree with each other — across:
 
 * cold-cache engine runs (every spec simulated through the backend),
 * warm-cache engine runs (every spec served from the store),
-* checkpointed sampled runs (generation sharded through the same seam), and
+* checkpointed sampled runs (generation jobs through the same seam), and
 * a chaos leg (``REPRO_FAULT_PLAN`` crash + blob corruption through the
   backend's own workers and stores).
 
@@ -91,13 +91,11 @@ class TestColdWarmEquivalence:
 
 @pytest.mark.parametrize("jobs,backend", BACKENDS)
 class TestCheckpointedSampledEquivalence:
-    def test_sharded_generation_matches_frozen_counters(self, golden, tmp_path,
-                                                        monkeypatch, jobs,
-                                                        backend):
+    def test_generation_matches_frozen_counters(self, golden, tmp_path,
+                                                jobs, backend):
         """Checkpoint generation *and* the interval fan-out both run
         through the selected backend; the merged record must equal the
         frozen single-pass numbers."""
-        monkeypatch.setenv("REPRO_CHECKPOINT_SHARDS", "3")
         plan = SamplingPlan(interval_length=500, detailed_warmup=300,
                             period=10_000, functional_warmup=2_000, seed=3)
         settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,

@@ -228,3 +228,26 @@ class TestRelativePerformance:
         indexed = simulate(trace, IndexedSQPolicy(use_delay=True,
                                                   predictors=_small_predictors()))
         assert indexed.stats.cycles == pytest.approx(oracle.stats.cycles, rel=0.02)
+
+
+#: (program, seed) cells on which the original Store Sets formulation used
+#: to deadlock at 3,000 instructions: a re-fetched store reused the SSN of
+#: the squashed store the LFST still named and waited on itself.
+ORIGINAL_STORE_SETS_CELLS = [
+    ("vortex", 1), ("vortex", 2), ("vortex", 3), ("gzip", 2), ("gzip", 3),
+    ("mesa.m", 1), ("mesa.m", 2), ("mesa.m", 3), ("gsm.e", 3),
+    ("epic.d", 2), ("epic.d", 3), ("twolf", 1), ("twolf", 3),
+    ("eon.c", 1), ("eon.c", 2), ("eon.c", 3), ("mesa.t", 1), ("mesa.t", 2),
+    ("mesa.t", 3), ("sixtrack", 2), ("sixtrack", 3), ("wupwise", 2),
+]
+
+
+@pytest.mark.parametrize("workload,seed", ORIGINAL_STORE_SETS_CELLS)
+def test_original_store_sets_runs_to_completion(workload, seed):
+    from repro.harness.runner import ExperimentSettings, run_workload
+
+    settings = ExperimentSettings(instructions=3_000, seed=seed,
+                                  stats_warmup_fraction=0.0)
+    record = run_workload(build_workload(workload, 3_000, seed=seed),
+                          "associative-original-storesets", settings)
+    assert record.result.stats.committed == 3_000

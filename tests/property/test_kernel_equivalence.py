@@ -45,9 +45,10 @@ WORKLOADS = ("vortex", "gzip", "mesa.m", "gsm.e", "epic.d", "twolf")
 
 #: Every SQ policy family Figure 4 compares, by ``make_policy`` name,
 #: mapped to the seed stack's constructors with the same parameters.  The
-#: original Store Sets formulation is not drawn: it deadlocks on some
-#: traces (e.g. vortex, seed 1, 700 instructions) identically in the seed
-#: stack, a known model defect.
+#: original Store Sets formulation is not drawn: the frozen seed stack
+#: keeps its self-dependence deadlock (e.g. vortex, seed 1, 700
+#: instructions), which ``repro`` fixes; the fix has its own regression
+#: test in ``tests/integration/test_simulator.py``.
 LEGACY_POLICIES = {
     "oracle-associative-3":
         lambda: legacy_ref.OracleAssociativePolicy(sq_latency=3),

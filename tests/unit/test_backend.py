@@ -1,7 +1,7 @@
 """Unit tests for the execution-backend seam.
 
 Backend resolution by worker count, the dispatcher's ordering and
-observability contract, dependency handling, and the engine-level
+observability contract, and the engine-level
 satellites (chunksize honored-or-rejected everywhere, scheduler stats in
 ``last_run_stats``, stale checkpoint-stat carry-over).
 """
@@ -34,10 +34,8 @@ def _boom_on_three(x):
     return x
 
 
-def _jobs(n, deps=None):
-    return [DispatchJob(index=i, payload=i,
-                        deps=tuple(deps.get(i, ())) if deps else ())
-            for i in range(n)]
+def _jobs(n):
+    return [DispatchJob(index=i, payload=i) for i in range(n)]
 
 
 ALL_BACKENDS = [
@@ -69,15 +67,6 @@ class TestDispatchContract:
         assert stats.inflight_peak == 0
 
     @pytest.mark.parametrize("make", ALL_BACKENDS)
-    def test_dependencies_respected(self, make):
-        """A chain 0 -> 2 -> 4 plus independent fillers completes with the
-        right values on every backend (gating style is backend-specific,
-        correctness is not)."""
-        deps = {2: (0,), 4: (2,), 5: (1, 3)}
-        results, _stats = dispatch(make(), _square, _jobs(6, deps))
-        assert results == [i * i for i in range(6)]
-
-    @pytest.mark.parametrize("make", ALL_BACKENDS)
     def test_failure_is_structured_and_late(self, make):
         """One poisoned job: every other job completes, then a structured
         ExperimentFailure names exactly the poisoned one — identical
@@ -92,11 +81,6 @@ class TestDispatchContract:
     def test_index_must_match_position(self):
         with pytest.raises(ValueError, match="list position"):
             dispatch(SerialBackend(), _square, [DispatchJob(index=1, payload=1)])
-
-    def test_deps_must_point_earlier(self):
-        with pytest.raises(ValueError, match="earlier jobs"):
-            dispatch(SerialBackend(), _square,
-                     [DispatchJob(index=0, payload=0, deps=(0,))])
 
     def test_events_stream_through_hook(self):
         events = []

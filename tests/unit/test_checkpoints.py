@@ -4,8 +4,10 @@ Covers the multi-policy functional warmer (one pass, many configurations),
 the export/import round trip (exact for every warmed structure), store
 invalidation (source fingerprints, plan changes), corruption robustness
 (truncated snapshots repair in place, never crash and never change the
-result), the engine's generation/reuse accounting, the on-disk trace-segment
-memo, and the result-cache key semantics of checkpointed interval specs.
+result), the engine's generation/reuse accounting, policy-group generation (one
+full pass per group, bit-identical to the single pass), the on-disk
+trace-segment memo, and the result-cache key semantics of checkpointed
+interval specs.
 """
 
 import dataclasses
@@ -19,20 +21,16 @@ from repro.harness.runner import ExperimentSettings, make_policy
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.sampling import SamplingPlan
+from repro.sampling import checkpoints as checkpoints_module
 from repro.sampling.checkpoints import (
-    BoundaryState,
     CheckpointStore,
-    boundary_key,
     checkpoints_enabled,
     execute_generation,
     generate_checkpoints,
     load_interval_state,
     plan_generation,
-    plan_shard_jobs,
     policy_key,
-    resolve_checkpoint_shards,
     resolve_checkpointed,
-    run_shard_job,
     segment_key,
     shared_key,
     shared_signature,
@@ -177,14 +175,14 @@ class TestStoreInvalidation:
         # A populated store therefore misses end to end.
         monkeypatch.undo()
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
-        requests, total = plan_generation(store, _checkpointed_specs(store))
-        assert total == 1 and not requests  # warm before the "edit"
+        jobs, stats = plan_generation(store, _checkpointed_specs(store))
+        assert stats["checkpoint_identities"] == 1 and not jobs  # warm before the "edit"
         monkeypatch.setattr(fingerprint_module, "simulator_fingerprint",
                             lambda: "edited-simulator-source")
-        requests, total = plan_generation(store, _checkpointed_specs(store))
-        assert total == 1 and len(requests) == 1
-        assert requests[0].identities == (IDENTITY,)
-        assert requests[0].write_shared
+        jobs, stats = plan_generation(store, _checkpointed_specs(store))
+        assert stats["checkpoint_identities"] == 1 and len(jobs) == 1
+        assert jobs[0].identities == (IDENTITY,)
+        assert jobs[0].write_shared
 
     def test_workload_source_change_misses(self, monkeypatch):
         before = segment_key(WORKLOAD, 1, 0, 4_096)
@@ -204,28 +202,28 @@ class TestStoreInvalidation:
                 == policy_key(WORKLOAD, other, IDENTITY, 0))
         store = CheckpointStore(tmp_path)
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
-        requests, total = plan_generation(
+        jobs, stats = plan_generation(
             store, _checkpointed_specs(store, settings=other))
-        assert total == 1 and not requests
+        assert stats["checkpoint_identities"] == 1 and not jobs
 
     def test_plan_change_misses(self, tmp_path):
         store = CheckpointStore(tmp_path)
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
         changed = dataclasses.replace(
             SETTINGS, sampling=dataclasses.replace(PLAN, detailed_warmup=600))
-        requests, _total = plan_generation(
+        jobs, _stats = plan_generation(
             store, _checkpointed_specs(store, settings=changed))
-        assert len(requests) == 1 and requests[0].write_shared
+        assert len(jobs) == 1 and jobs[0].write_shared
 
     def test_new_configuration_reuses_shared_snapshots(self, tmp_path):
         store = CheckpointStore(tmp_path)
         generate_checkpoints(store, WORKLOAD, SETTINGS, [IDENTITY])
         other = ("associative-5-predictive", SETTINGS.sq_size, None)
-        requests, total = plan_generation(
+        jobs, stats = plan_generation(
             store, _checkpointed_specs(store, config=other[0]))
-        assert total == 1 and len(requests) == 1
-        assert requests[0].identities == (other,)
-        assert not requests[0].write_shared  # shared snapshots stay valid
+        assert stats["checkpoint_identities"] == 1 and len(jobs) == 1
+        assert jobs[0].identities == (other,)
+        assert not jobs[0].write_shared  # shared snapshots stay valid
 
 
 class TestCorruptSnapshots:
@@ -279,6 +277,7 @@ class TestEngineGeneration:
         assert stats["checkpoint_identities"] == 2
         assert stats["checkpoint_generated"] == 2
         assert stats["checkpoint_passes"] == 1  # a single shared O(N) pass
+        assert stats["checkpoint_chains"] == 1  # one worker, one policy group
 
     def test_engine_matches_serial_driver(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache=False, checkpoint_dir=tmp_path)
@@ -363,34 +362,32 @@ class TestStateLoading:
 
 
 # ---------------------------------------------------------------------------
-# Sharded generation (stitched boundary handoffs)
+# Policy-group generation (one full pass per group)
 # ---------------------------------------------------------------------------
 
-from repro.sampling import checkpoints as checkpoints_module  # noqa: E402
 from repro.workloads.suites import TRACE_SEGMENT_UOPS  # noqa: E402
 
-#: A multi-segment sampled run (5 segments) so shard counts 1/2/4 cut real
-#: segment-aligned chunks; detailed_warmup is sized so at least one chunk
-#: boundary lands strictly inside a warm-up window (asserted below).
-SHARD_PLAN = SamplingPlan(interval_length=600, detailed_warmup=4_000,
+#: A multi-segment sampled run, so each policy-group pass replays several
+#: trace segments.
+GROUP_PLAN = SamplingPlan(interval_length=600, detailed_warmup=4_000,
                           period=16_384, functional_warmup=1_000, seed=1)
-SHARD_SETTINGS = ExperimentSettings(instructions=5 * TRACE_SEGMENT_UOPS,
+GROUP_SETTINGS = ExperimentSettings(instructions=3 * TRACE_SEGMENT_UOPS,
                                     stats_warmup_fraction=0.0,
-                                    sampling=SHARD_PLAN, checkpoints=True)
-SHARD_CONFIGS = ("oracle-associative-3", "indexed-3-fwd+dly")
+                                    sampling=GROUP_PLAN, checkpoints=True)
+GROUP_CONFIGS = ("oracle-associative-3", "indexed-3-fwd+dly",
+                 "associative-5-predictive")
 
 
-def _generation_requests(store, settings, configs=SHARD_CONFIGS):
+def _interval_specs(store, settings, configs=GROUP_CONFIGS):
     specs = []
     for config in configs:
         specs.extend(expand_sampled_spec(
             JobSpec(WORKLOAD, config, settings), checkpointed=True,
             checkpoint_dir=str(store.directory)))
-    requests, _total = plan_generation(store, specs)
-    return requests
+    return specs
 
 
-def _store_signatures(store, settings, configs=SHARD_CONFIGS):
+def _store_signatures(store, settings, configs=GROUP_CONFIGS):
     """(shared, per-policy) signatures of every interval snapshot."""
     windows = settings.sampling.intervals(settings.instructions)
     out = []
@@ -408,218 +405,107 @@ def _store_signatures(store, settings, configs=SHARD_CONFIGS):
     return out
 
 
-class TestResolveShards:
-    def test_settings_beat_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT_SHARDS", "8")
-        assert resolve_checkpoint_shards() == 8
-        explicit = dataclasses.replace(SETTINGS, checkpoint_shards=2)
-        assert resolve_checkpoint_shards(explicit) == 2
-
-    def test_unset_means_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT_SHARDS", raising=False)
-        assert resolve_checkpoint_shards() == 0
-        assert resolve_checkpoint_shards(SETTINGS) == 0
-
-    def test_nonpositive_settings_mean_auto(self, monkeypatch):
-        """A settings value <= 0 is programmatic "auto"; a *negative
-        environment value* is a typo and fails fast (PR 6)."""
-        monkeypatch.delenv("REPRO_CHECKPOINT_SHARDS", raising=False)
-        explicit = dataclasses.replace(SETTINGS, checkpoint_shards=-3)
-        assert resolve_checkpoint_shards(explicit) == 0
-
-    @pytest.mark.parametrize("bad", ["many", "-3"])
-    def test_invalid_environment_fails_fast(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_CHECKPOINT_SHARDS", bad)
-        with pytest.raises(ValueError, match="REPRO_CHECKPOINT_SHARDS"):
-            resolve_checkpoint_shards()
-
-    def test_execution_only_never_in_cache_keys(self):
-        base = IntervalJobSpec(WORKLOAD, CONFIG, SETTINGS, 0, checkpointed=True)
-        sharded = dataclasses.replace(
-            base, settings=dataclasses.replace(SETTINGS, checkpoint_shards=7))
-        assert job_key(base) == job_key(sharded)
-
-
-class TestShardPlanning:
-    def test_chunks_are_segment_aligned_and_chunk_major(self, tmp_path):
+class TestPolicyGroupPlanning:
+    def test_serial_plan_is_the_single_pass(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        settings = dataclasses.replace(SHARD_SETTINGS, checkpoint_shards=4)
-        jobs, stats = plan_shard_jobs(
-            store, _generation_requests(store, settings), workers=4)
-        assert stats["checkpoint_shards"] == 4
-        assert stats["checkpoint_chains"] == 2  # two configs, two chains
-        assert stats["checkpoint_shard_jobs"] == 8
-        span = settings.sampling.intervals(
-            settings.instructions)[-1].detailed_start
-        for job in jobs:
-            if not job.last:
-                assert job.chunk_end % TRACE_SEGMENT_UOPS == 0
-            else:
-                assert job.chunk_end == span
-        # Chunk-major dispatch order: a job's handoff producer always
-        # precedes it (the pool deadlock-freedom invariant).
-        indices = [job.chunk_index for job in jobs]
-        assert indices == sorted(indices)
-        # Exactly one chain carries the shared-emission duty.
-        assert sum(1 for job in jobs if job.write_shared and job.chunk_index == 0) == 1
+        jobs, stats = plan_generation(
+            store, _interval_specs(store, GROUP_SETTINGS), workers=1)
+        assert len(jobs) == 1
+        assert stats["checkpoint_chains"] == stats["checkpoint_passes"] == 1
+        assert [identity[0] for identity in jobs[0].identities] == \
+            list(GROUP_CONFIGS)
+        assert jobs[0].write_shared
+        assert not jobs[0].disk_memo  # a lone pass composes in memory
 
-    def test_explicit_shards_clamped_to_segments(self, tmp_path):
+    def test_configurations_dealt_over_workers(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        settings = dataclasses.replace(SETTINGS, checkpoint_shards=64)
-        spec = JobSpec(WORKLOAD, CONFIG, settings)
-        specs = expand_sampled_spec(spec, checkpointed=True,
-                                    checkpoint_dir=str(store.directory))
-        requests, _ = plan_generation(store, specs)
-        jobs, stats = plan_shard_jobs(store, requests, workers=4)
-        # 20k instructions -> a 2-segment trace cannot take 64 chunks.
-        assert stats["checkpoint_shards"] <= 2
+        jobs, stats = plan_generation(
+            store, _interval_specs(store, GROUP_SETTINGS), workers=2)
+        assert stats["checkpoint_chains"] == len(jobs) == 2
+        assert stats["checkpoint_passes"] == 1  # still one workload group
+        assert stats["checkpoint_generated"] == len(GROUP_CONFIGS)
+        # Round-robin deal; every configuration lands in exactly one job.
+        assert [[identity[0] for identity in job.identities]
+                for job in jobs] == [[GROUP_CONFIGS[0], GROUP_CONFIGS[2]],
+                                     [GROUP_CONFIGS[1]]]
+        # Exactly one job carries the shared-emission duty, and the jobs
+        # share composed segments through the on-disk memo.
+        assert [job.write_shared for job in jobs] == [True, False]
+        assert all(job.disk_memo for job in jobs)
 
-    def test_auto_soaks_up_idle_workers(self, tmp_path):
+    @pytest.mark.parametrize("configs,workers", [
+        pytest.param(GROUP_CONFIGS, 8, id="three-configs"),
+        pytest.param((CONFIG,), 4, id="one-config")])
+    def test_groups_capped_by_configurations(self, tmp_path, configs,
+                                             workers):
         store = CheckpointStore(tmp_path)
-        requests = _generation_requests(store, SHARD_SETTINGS,
-                                        configs=(CONFIG,))
-        jobs, stats = plan_shard_jobs(store, requests, workers=4)
-        # One chain (one config): auto-sharding cuts ~one chunk per worker.
-        assert stats["checkpoint_chains"] == 1
-        assert stats["checkpoint_shards"] == 4
+        jobs, stats = plan_generation(
+            store, _interval_specs(store, GROUP_SETTINGS, configs=configs),
+            workers=workers)
+        assert len(jobs) == stats["checkpoint_chains"] == len(configs)
+        assert [job.identities[0][0] for job in jobs] == list(configs)
 
-    def test_serial_auto_is_the_single_pass(self, tmp_path):
+    def test_warm_store_plans_nothing(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        requests = _generation_requests(store, SHARD_SETTINGS)
-        jobs, stats = plan_shard_jobs(store, requests, workers=1)
-        assert stats == {"checkpoint_chains": 1, "checkpoint_shards": 1,
-                         "checkpoint_shard_jobs": 1}
-        assert jobs[0].identities == requests[0].identities
-        assert jobs[0].last and jobs[0].chunk_start == 0
+        jobs, _stats = plan_generation(
+            store, _interval_specs(store, GROUP_SETTINGS), workers=2)
+        execute_generation(jobs)
+        jobs, stats = plan_generation(
+            store, _interval_specs(store, GROUP_SETTINGS), workers=2)
+        assert jobs == []
+        assert stats["checkpoint_passes"] == stats["checkpoint_chains"] == 0
+        assert stats["checkpoint_reused"] == len(GROUP_CONFIGS)
 
 
-class TestStitchedBitIdentity:
-    """Stitched sharded generation == the single pass, snapshot for
-    snapshot, across shard counts 1/2/4 — including a chunk boundary
-    landing strictly inside a detailed warm-up window."""
+class TestPolicyGroupBitIdentity:
+    """Policy-group passes == the single multi-policy pass, snapshot for
+    snapshot, whatever the number of groups."""
 
     @pytest.fixture(scope="class")
     def stores(self, tmp_path_factory):
         stores = {}
-        for shards in (1, 2, 4):
+        for workers in (1, 2, 3):
             store = CheckpointStore(
-                tmp_path_factory.mktemp(f"shards-{shards}"))
-            settings = dataclasses.replace(SHARD_SETTINGS,
-                                           checkpoint_shards=shards)
-            requests = _generation_requests(store, settings)
-            stats = execute_generation(store, requests, jobs=1)
-            assert stats["checkpoint_shards"] == min(shards, 5)
-            stores[shards] = (store, settings)
+                tmp_path_factory.mktemp(f"groups-{workers}"))
+            jobs, stats = plan_generation(
+                store, _interval_specs(store, GROUP_SETTINGS), workers=workers)
+            assert stats["checkpoint_chains"] == workers
+            execute_generation(jobs)  # in-process: the plan is what differs
+            stores[workers] = store
         return stores
 
-    def test_a_boundary_lands_mid_warmup_window(self, stores, tmp_path):
-        _, settings = stores[4]
-        cold = CheckpointStore(tmp_path)  # planning needs unmet requests
-        jobs, _ = plan_shard_jobs(
-            cold, _generation_requests(cold, settings), workers=1)
-        bounds = {job.chunk_end for job in jobs if not job.last}
-        windows = settings.sampling.intervals(settings.instructions)
-        assert any(w.detailed_start < bound < w.measure_end
-                   for bound in bounds for w in windows), \
-            "layout regression: no chunk boundary inside a warm-up window"
+    def test_snapshots_identical_across_group_counts(self, stores):
+        reference = _store_signatures(stores[1], GROUP_SETTINGS)
+        assert _store_signatures(stores[2], GROUP_SETTINGS) == reference
+        assert _store_signatures(stores[3], GROUP_SETTINGS) == reference
 
-    def test_snapshots_identical_across_shard_counts(self, stores):
-        reference = _store_signatures(*stores[1])
-        assert _store_signatures(*stores[2]) == reference
-        assert _store_signatures(*stores[4]) == reference
-
-    def test_no_boundary_strays_left_in_store(self, stores):
-        assert len(stores[4][0]) == len(stores[1][0])
-
-    def test_resumed_warmer_equals_straight_replay(self):
-        from repro.pipeline.config import CoreConfig as _CoreConfig
-
-        uops = build_workload(WORKLOAD, 6_000, seed=1).uops
-        straight = FunctionalWarmer(_CoreConfig(), make_policy(CONFIG))
-        straight.warm(uops)
-        first = FunctionalWarmer(_CoreConfig(), make_policy(CONFIG))
-        first.warm(uops[:2_500])
-        handoff = pickle.loads(pickle.dumps(first.export_state()))
-        resumed = FunctionalWarmer(_CoreConfig(), policies=[handoff.policy],
-                                   state=handoff, start_index=2_500)
-        resumed.warm(uops[2_500:])
-        a, b = straight.state, resumed.state
-        assert a.branch_unit.state_signature() == b.branch_unit.state_signature()
-        assert a.hierarchy.state_signature() == b.hierarchy.state_signature()
-        assert a.memory.state_signature() == b.memory.state_signature()
-        assert a.policy.state_signature() == b.policy.state_signature()
-        assert a.last_writer == b.last_writer
-        assert a.instructions_warmed == b.instructions_warmed
+    def test_no_extra_blobs(self, stores):
+        assert len(stores[3]) == len(stores[1])
 
 
-class TestStitchFallback:
-    """A handoff that never arrives (or is damaged) must degrade to an
-    exact in-process recompute — never a hang, never a different state."""
+class TestEngineGenerationJobs:
+    def test_one_config_sweep_on_a_pool_is_one_full_pass(self, tmp_path,
+                                                         monkeypatch):
+        """A one-configuration checkpointed sweep at jobs=2 runs exactly
+        one generation job — the full pass, never a chunked one — and
+        merges the serial record."""
+        log = tmp_path / "generation-jobs.txt"
+        original = checkpoints_module.run_shard_job
 
-    @pytest.fixture()
-    def fast_timeout(self, monkeypatch):
-        monkeypatch.setattr(checkpoints_module, "_BOUNDARY_WAIT_SECONDS", 0.05)
-        monkeypatch.setattr(checkpoints_module, "_BOUNDARY_POLL_SECONDS", 0.001)
+        def logged(spec):
+            with open(log, "a") as out:
+                out.write(f"{spec.workload}\n")
+            return original(spec)
 
-    def _shard_jobs(self, store, shards=2):
-        settings = dataclasses.replace(SHARD_SETTINGS, checkpoint_shards=shards)
-        jobs, _ = plan_shard_jobs(
-            store, _generation_requests(store, settings, configs=(CONFIG,)),
-            workers=1)
-        return jobs, settings
-
-    def test_missing_handoff_recomputes_exactly(self, tmp_path, fast_timeout):
-        reference = CheckpointStore(tmp_path / "reference")
-        settings = dataclasses.replace(SHARD_SETTINGS, checkpoint_shards=1)
-        execute_generation(
-            reference, _generation_requests(reference, settings,
-                                            configs=(CONFIG,)), jobs=1)
-
-        store = CheckpointStore(tmp_path / "orphaned")
-        jobs, sharded_settings = self._shard_jobs(store)
-        # Run only the *second* chunk: its producer never ran, so the
-        # handoff never appears and the job must recompute the prefix.
-        run_shard_job(jobs[1])
-        windows = sharded_settings.sampling.intervals(
-            sharded_settings.instructions)
-        emitted = [w for w in windows
-                   if w.detailed_start > jobs[1].chunk_start]
-        assert emitted, "second chunk owns no interval - bad layout"
-        for window in emitted:
-            ours = store.get(shared_key(WORKLOAD, sharded_settings,
-                                        window.index))
-            theirs = reference.get(shared_key(WORKLOAD, settings,
-                                              window.index))
-            assert shared_signature(ours) == shared_signature(theirs)
-
-    def test_corrupt_handoff_is_rejected_and_recomputed(self, tmp_path,
-                                                        fast_timeout):
-        store = CheckpointStore(tmp_path)
-        jobs, settings = self._shard_jobs(store)
-        run_shard_job(jobs[0])
-        key = boundary_key(WORKLOAD, settings, jobs[0].identities,
-                           jobs[0].chunk_end)
-        assert store.contains(key)
-        good = store.get(key)
-        assert isinstance(good, BoundaryState)
-        # Truncate the handoff mid-blob: stitch validation must reject it.
-        path = store._path(key)
-        path.write_bytes(path.read_bytes()[:40])
-        run_shard_job(jobs[1])  # falls back, still emits every snapshot
-        windows = settings.sampling.intervals(settings.instructions)
-        for window in windows:
-            assert store.contains(shared_key(WORKLOAD, settings, window.index))
-
-
-class TestShardedEngineStats:
-    def test_engine_reports_shard_counters(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "1")
-        settings = dataclasses.replace(SETTINGS, checkpoint_shards=2)
-        engine = ExperimentEngine(jobs=1, cache=False,
-                                  checkpoint_dir=tmp_path)
-        engine.run([JobSpec(WORKLOAD, CONFIG, settings)])
-        stats = engine.last_run_stats
-        assert stats["checkpoint_passes"] == 1
-        assert stats["checkpoint_shards"] == 2
-        assert stats["checkpoint_shard_jobs"] == 2
-        assert stats["checkpoint_chains"] == 1
+        monkeypatch.setattr(checkpoints_module, "run_shard_job", logged)
+        spec = JobSpec(WORKLOAD, CONFIG, GROUP_SETTINGS)
+        engine = ExperimentEngine(jobs=2, cache=False,
+                                  checkpoint_dir=tmp_path / "pool")
+        record, = engine.run([spec])
+        assert engine.last_run_stats["checkpoint_chains"] == 1
+        assert log.read_text().splitlines() == [WORKLOAD]
+        serial = run_sampled_workload(WORKLOAD, CONFIG, GROUP_SETTINGS,
+                                      checkpoint_dir=str(tmp_path / "serial"))
+        assert record.result.stats.as_dict() == serial.result.stats.as_dict()
+        assert (record.result.sampled.cpi_mean
+                == serial.result.sampled.cpi_mean)

@@ -41,7 +41,6 @@ VALID = {
     "REPRO_CACHE_DIR": ("elsewhere/cache", "elsewhere/cache"),
     "REPRO_CHECKPOINTS": ("0", False),
     "REPRO_CHECKPOINT_DIR": ("elsewhere/ckpt", "elsewhere/ckpt"),
-    "REPRO_CHECKPOINT_SHARDS": ("4", 4),
     "REPRO_RETRIES": ("5", 5),
     "REPRO_JOB_TIMEOUT": ("12.5", 12.5),
     "REPRO_FAULT_PLAN": ("corrupt_blob@p=0.5,seed=3", None),
@@ -56,7 +55,6 @@ MALFORMED = {
     "REPRO_CACHE_DIR": ("FILE",),
     "REPRO_CHECKPOINTS": ("yes",),
     "REPRO_CHECKPOINT_DIR": ("FILE",),
-    "REPRO_CHECKPOINT_SHARDS": ("-4", "many"),
     "REPRO_RETRIES": ("-1", "abc"),
     "REPRO_JOB_TIMEOUT": ("soon", "-2"),
     "REPRO_FAULT_PLAN": ("explode@everywhere", "worker_crash@job:x",
@@ -100,7 +98,7 @@ def _keys():
 
 
 def test_table_is_the_single_source():
-    assert len(KNOBS) == 10
+    assert len(KNOBS) == 9
     assert set(NAMES) == set(VALID) == set(MALFORMED)
     assert _knob_literals() <= set(NAMES), _knob_literals() - set(NAMES)
     # Only REPRO_CHECKPOINTS reaches a simulated result.

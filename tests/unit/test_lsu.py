@@ -252,6 +252,25 @@ class TestAssociativePolicy:
         policy.store_renamed(0x504, ssn=4)
         assert policy.store_dependence(0x504, 4) == 3
 
+    def test_original_formulation_never_depends_on_own_ssn(self):
+        """After a flush the LFST still names the squashed store, and the
+        re-fetched store reuses its SSN (or an older one): neither the
+        store's own SSN nor a younger one is a dependence."""
+        policy = AssociativeStoreSetsPolicy(formulation="original",
+                                            predictors=_small_predictors())
+        policy.store_sets.train_violation(0x400, 0x500)
+        policy.store_renamed(0x500, ssn=7)
+        policy.store_renamed(0x500, ssn=8)
+        policy.store_squashed(0x500, 8, None)
+        policy.store_squashed(0x500, 7, None)
+        policy.store_renamed(0x500, ssn=7)  # the LFST still names SSN 8
+        assert policy.store_dependence(0x500, 7) == 0
+        policy.store_renamed(0x500, ssn=8)  # now it names SSN 7 itself
+        assert policy.store_dependence(0x500, 8) == 7
+        policy.store_squashed(0x500, 8, None)
+        policy.store_renamed(0x500, ssn=8)  # ... and now SSN 8 itself
+        assert policy.store_dependence(0x500, 8) == 0
+
     def test_sat_repair_on_squash(self):
         policy = AssociativeStoreSetsPolicy(predictors=_small_predictors())
         token1 = policy.store_renamed(0x500, ssn=3)

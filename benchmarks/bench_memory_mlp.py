@@ -35,7 +35,6 @@ from repro.harness.runner import ExperimentSettings
 from repro.memory.hierarchy import MemoryHierarchyConfig
 from repro.memory.mshr import MLPConfig, PrefetchConfig
 from repro.pipeline.config import CoreConfig
-from repro.sampling.driver import run_sampled_workload
 from repro.sampling.plan import SamplingPlan
 
 #: The sweep runs on the memory-bound corner of the suite: mcf's pointer
@@ -159,15 +158,16 @@ def measure_memory_mlp(cache_dir, instructions=None, parallel_jobs=None):
     legs = {}
     for leg, jobs in (("cold", 1), ("warm_serial", 1),
                       ("warm_parallel", parallel_jobs)):
+        settings = dataclasses.replace(sampled_settings, jobs=jobs)
+        engine = ExperimentEngine.from_settings(settings, cache=False,
+                                                checkpoint_dir=ckpt_dir)
         start = time.perf_counter()
-        record = run_sampled_workload(
-            workload, config,
-            dataclasses.replace(sampled_settings, jobs=jobs),
-            checkpoint_dir=ckpt_dir)
+        record, = engine.run([JobSpec(workload, config, settings)])
         wall = time.perf_counter() - start
         sampled = record.result.sampled
         legs[leg] = {
             "wall_s": wall,
+            "workers": engine.last_run_stats["workers"],
             "stats": tuple(sorted(record.result.stats.as_dict().items())),
             "cpi_mean": sampled.cpi_mean,
             "interval_cycles": [m.cycles for m in sampled.intervals],
@@ -260,6 +260,11 @@ def assert_memory_mlp(data: dict) -> None:
     # Checkpointed sampled leg: cold generation, warm reload, and the
     # parallel fan-out are bit-identical.
     legs = data["checkpointed_legs"]
+    # The parallel leg runs on the pool: one worker per interval job, up
+    # to parallel_jobs.
+    intervals = len(legs["cold"]["interval_cycles"])
+    assert legs["warm_parallel"]["workers"] == \
+        min(data["parallel_jobs"], intervals), legs["warm_parallel"]["workers"]
     assert legs["warm_serial"]["stats"] == legs["cold"]["stats"], "warm != cold"
     assert legs["warm_parallel"]["stats"] == legs["cold"]["stats"], \
         "parallel != cold"

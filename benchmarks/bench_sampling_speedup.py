@@ -48,7 +48,6 @@ from repro.exec import ExperimentEngine, JobSpec, ResultCache, available_cpus
 from repro.harness.runner import BASELINE_CONFIG, ExperimentSettings
 from repro.sampling import SamplingPlan
 from repro.sampling.checkpoints import resolve_checkpointed
-from repro.sampling.driver import run_sampled_workload
 from repro.workloads.suites import build_workload
 
 SPEEDUP_WORKLOAD = "vortex"
@@ -119,11 +118,13 @@ def measure_sampling_speedup(instructions: int = None,
     # measurement by tens of percent; the faster repeat is the steady-state
     # cost (per-process segment caches warm, exactly as inside a sweep).
     # Both runs are asserted bit-identical first.
+    engine = ExperimentEngine(jobs=1, cache=False)
+    spec = JobSpec(workload, config, sampled_settings)
     sampled_s = None
     sampled_record = None
     for _ in range(2):
         start = time.perf_counter()
-        record = run_sampled_workload(workload, config, sampled_settings)
+        record, = engine.run([spec])
         elapsed = time.perf_counter() - start
         if sampled_record is not None:
             assert (record.result.stats.as_dict()

@@ -11,11 +11,11 @@ Shows the lower-level APIs a downstream user would reach for:
 
 ``builder.finish()`` returns an encoded stream
 (:class:`repro.isa.plane.EncodedOps` — per-uop static-plane indices plus
-dynamic fields) that reads like a micro-op list (``len``, iteration and
-indexing yield ``MicroOp`` views, ``.stats``, ``.uops``) and is exactly the
-form ``simulate`` / ``OutOfOrderCore.run`` consume; a hand-built
-``MicroOp`` list or ``DynamicTrace`` works too and is interned onto a
-plane first.  The emit helpers (``builder.load``/``store``/``alu``/
+dynamic fields), the one trace type.  It reads like a micro-op list
+(``len``, iteration and indexing yield ``MicroOp`` views, ``.stats``,
+``.uops``) and is the only form ``simulate`` / ``OutOfOrderCore.run``
+accept; turn a hand-built ``MicroOp`` list into one with
+``encode_uops(uops, name=...)``.  The emit helpers (``builder.load``/``store``/``alu``/
 ``branch``/``nop``) do not return the emitted micro-op (decode a view via
 ``builder.finish()[i]`` if one is needed) — constructing a ``MicroOp`` per
 emit is exactly the cost the encoding removes.

@@ -48,7 +48,7 @@ from repro.lsu import (
     StoreQueue,
 )
 from repro.pipeline import CoreConfig, OutOfOrderCore, SimulationResult, SimStats
-from repro.isa import DynamicTrace, MicroOp, OpClass
+from repro.isa import EncodedOps, MicroOp, OpClass, encode_uops
 from repro.sampling import SampledResult, SamplingPlan
 from repro.workloads import build_workload, build_suite, workload_names
 from repro.timing import SQGeometry, sq_latency_table
@@ -60,7 +60,7 @@ __all__ = [
     "AssociativeStoreSetsPolicy",
     "CoreConfig",
     "DelayDistancePredictor",
-    "DynamicTrace",
+    "EncodedOps",
     "ForwardingStorePredictor",
     "IndexedSQPolicy",
     "LoadQueue",
@@ -82,6 +82,7 @@ __all__ = [
     "SVWFilter",
     "build_suite",
     "build_workload",
+    "encode_uops",
     "run_figure4",
     "run_figure5",
     "run_table2",
@@ -103,8 +104,9 @@ def simulate(trace, policy, config=None):
     Parameters
     ----------
     trace:
-        A :class:`~repro.isa.trace.DynamicTrace` (e.g. from
-        :func:`~repro.workloads.suites.build_workload`).
+        An :class:`~repro.isa.plane.EncodedOps` (e.g. from
+        :func:`~repro.workloads.suites.build_workload`, or a hand-built
+        micro-op list passed through :func:`~repro.isa.plane.encode_uops`).
     policy:
         An :class:`~repro.lsu.policies.SQPolicy` instance describing the
         store-queue configuration.

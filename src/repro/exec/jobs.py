@@ -9,7 +9,10 @@ memoises) the traces it needs.
 
 ``run_job`` is the single entry point executed on both the serial path and
 inside pool workers, which is what makes serial and parallel sweeps
-bit-identical.
+bit-identical.  It runs full-detail :class:`JobSpec` jobs and single
+:class:`IntervalJobSpec` intervals; a sampled ``JobSpec`` runs only through
+:class:`~repro.exec.engine.ExperimentEngine`, which expands it into
+interval jobs and merges their records.
 
 Checkpoint *generation* work travels the same way but with its own spec
 type: the engine's generation stage fans
@@ -58,11 +61,11 @@ class IntervalJobSpec:
     simulates the detailed warm-up + measured region.  ``settings.sampling``
     must be the plan the interval index refers to.
 
-    With ``checkpointed`` set (stamped by the engine or the sampling driver
-    after resolving ``settings.checkpoints`` / ``REPRO_CHECKPOINTS``), the
-    worker instead loads the interval's full-history snapshot from the
-    checkpoint store (:mod:`repro.sampling.checkpoints`) and simulates only
-    the detailed warm-up + measured region.  The flag is part of the result
+    With ``checkpointed`` set (stamped by the engine after resolving
+    ``settings.checkpoints`` / ``REPRO_CHECKPOINTS``), the worker instead
+    loads the interval's full-history snapshot from the checkpoint store
+    (:mod:`repro.sampling.checkpoints`) and simulates only the detailed
+    warm-up + measured region.  The flag is part of the result
     cache key (it changes the simulated statistics); ``checkpoint_dir`` is
     not (snapshots are content-addressed, their location is irrelevant).
     """
@@ -104,7 +107,7 @@ _PROFILE_SEQ = 0
 
 
 def run_job(spec) -> "RunRecord":
-    """Execute one job spec (plain, sampled, or a single sampling interval).
+    """Execute one job spec (a full-detail run or a single sampling interval).
 
     When the engine exported ``_REPRO_PROFILE_RUN`` (the ``REPRO_PROFILE``
     knob), the execution is wrapped in :mod:`cProfile` and the stats are
@@ -138,9 +141,8 @@ def _run_job(spec) -> "RunRecord":
 
     Imports are deferred so that :mod:`repro.exec` never imports
     :mod:`repro.harness` at module level (the harness imports the engine).
-    Sampled base specs never materialise their (possibly 10M-instruction)
-    trace — the sampling driver runs interval-by-interval over regenerated
-    windows.
+    A sampled base spec is not a job: the engine expands it into interval
+    jobs first, so one reaching here raises :class:`ValueError`.
     """
     if isinstance(spec, IntervalJobSpec):
         from repro.sampling.driver import run_interval_job
@@ -148,10 +150,9 @@ def _run_job(spec) -> "RunRecord":
         return run_interval_job(spec)
 
     if getattr(spec.settings, "sampling", None) is not None:
-        from repro.sampling.driver import run_sampled_workload
-
-        return run_sampled_workload(spec.workload, spec.config_name,
-                                    spec.settings, predictors=spec.predictors)
+        raise ValueError(
+            f"sampled spec {spec.workload}/{spec.config_name} must be "
+            f"expanded into interval jobs; run it through ExperimentEngine")
 
     from repro.harness.runner import run_workload
 

@@ -136,27 +136,22 @@ class RunRecord:
         return self.result.stats.ipc
 
 
-def run_workload(trace, config_name: str,
+def run_workload(trace: EncodedOps, config_name: str,
                  settings: Optional[ExperimentSettings] = None,
                  predictors: Optional[PredictorSuiteConfig] = None) -> RunRecord:
-    """Simulate one trace under one named configuration.
+    """Simulate one trace in full detail under one named configuration.
 
     ``trace`` is an :class:`~repro.isa.plane.EncodedOps` (what
-    :func:`~repro.workloads.suites.build_workload` returns; the core's
-    static-plane form) or a :class:`~repro.isa.trace.DynamicTrace` /
-    micro-op sequence, which the core interns first — bit-identical either
-    way.
-
-    With ``settings.sampling`` set the trace is simulated by statistical
-    sampling (functional warming + detailed intervals) instead of in full
-    detail; the returned record then carries a
-    :class:`~repro.sampling.result.SampledSimulationResult`.
+    :func:`~repro.workloads.suites.build_workload` returns).  Sampled
+    settings raise :class:`ValueError`: a sampled run is a named-workload
+    :class:`~repro.exec.jobs.JobSpec` for
+    :class:`~repro.exec.engine.ExperimentEngine`, which expands it into
+    interval jobs.
     """
     settings = settings or ExperimentSettings()
     if settings.sampling is not None:
-        from repro.sampling.driver import run_sampled_trace
-
-        return run_sampled_trace(trace, config_name, settings, predictors=predictors)
+        raise ValueError("run_workload simulates in full detail; run sampled "
+                         "settings through ExperimentEngine")
     policy = make_policy(config_name, sq_size=settings.sq_size, predictors=predictors)
     core = OutOfOrderCore(settings.core, policy)
     result = core.run(trace, stats_warmup_fraction=settings.stats_warmup_fraction)

@@ -13,15 +13,15 @@ value, branch direction/target).
 This replaces per-uop :class:`~repro.isa.uop.MicroOp` object construction on
 every hot path (trace composition, the detailed core's dispatch loop,
 functional warming) with flat list indexing, and makes segments cheaply
-picklable (lists of ints instead of object graphs).  ``MicroOp`` remains the
-thin *view* type: :meth:`EncodedOps.view` materialises one on demand for
-tests and examples, and :func:`as_encoded` interns micro-op sequences back
-onto a plane.
+picklable (lists of ints instead of object graphs).  :class:`EncodedOps` is
+the one trace type: workload generators emit it, and the functional warmer
+and the detailed core consume nothing else.  ``MicroOp`` remains the thin
+*view* type: :meth:`EncodedOps.view` materialises one on demand for tests
+and examples, and :func:`encode_uops` is the one way to turn a hand-built
+micro-op list into a trace.
 
 Encoding is lossless and order-preserving: ``encode_uops(uops).uops == uops``
-for any valid micro-op list, which is what keeps every consumer of the
-encoded form bit-identical to the object form (pinned by the golden
-regression tests).
+for any valid micro-op list.
 
 Static indices are *per-plane*: two planes built from different composition
 orders may number the same descriptor differently.  Within a process, all
@@ -34,6 +34,7 @@ safe to pickle between pool workers and through the on-disk segment memo.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.registers import validate_reg
@@ -78,6 +79,35 @@ ISSUE_CLASS_OF = {
 #: structures (ready heaps, issue budgets) are laid out.  Precomputed per
 #: static instruction so integer-indexed kernels never hash the class name.
 ISSUE_INDEX_OF = {"int": 0, "fp": 1, "branch": 2, "load": 3, "store": 4}
+
+
+@dataclass
+class TraceStats:
+    """Summary statistics over a dynamic trace (:attr:`EncodedOps.stats`)."""
+
+    total: int = 0
+    loads: int = 0
+    stores: int = 0
+    branches: int = 0
+    taken_branches: int = 0
+    int_ops: int = 0
+    fp_ops: int = 0
+    unique_pcs: int = 0
+    unique_load_pcs: int = 0
+    unique_store_pcs: int = 0
+
+    @property
+    def load_fraction(self) -> float:
+        return self.loads / self.total if self.total else 0.0
+
+    @property
+    def store_fraction(self) -> float:
+        return self.stores / self.total if self.total else 0.0
+
+    @property
+    def branch_fraction(self) -> float:
+        return self.branches / self.total if self.total else 0.0
+
 
 #: A static descriptor: everything about one static instruction.
 Descriptor = Tuple[int, OpClass, Optional[int], Tuple[int, ...], bool, bool]
@@ -292,10 +322,6 @@ class EncodedOps:
         out.target = self.target[lo:hi]
         return out
 
-    def truncated(self, max_uops: int) -> "EncodedOps":
-        """Back-compat analogue of :meth:`DynamicTrace.truncated`."""
-        return self.slice(0, max_uops)
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             lo, hi, step = index.indices(len(self.sidx))
@@ -329,14 +355,13 @@ class EncodedOps:
 
     @property
     def uops(self) -> List[MicroOp]:
-        """Every micro-op as a view object (O(n) decode; back-compat only)."""
+        """Every micro-op as a view object (O(n) decode, for tests and
+        examples)."""
         return [self.view(i) for i in range(len(self.sidx))]
 
     @property
-    def stats(self):
+    def stats(self) -> TraceStats:
         """Trace statistics, computed straight off the arrays."""
-        from repro.isa.trace import TraceStats
-
         plane = self.plane
         kind = plane.kind
         op_class = plane.op_class
@@ -424,18 +449,8 @@ def encode_uops(uops: Sequence[MicroOp],
     return encoded
 
 
-def as_encoded(trace, name: Optional[str] = None) -> EncodedOps:
-    """Coerce a trace-like (``EncodedOps``, ``DynamicTrace``, or a micro-op
-    sequence) to :class:`EncodedOps`, preserving content exactly."""
-    if isinstance(trace, EncodedOps):
-        return trace if name is None or trace.name == name \
-            else trace.with_name(name)
-    uops = getattr(trace, "uops", trace)
-    return encode_uops(uops, name=name or getattr(trace, "name", ""))
-
-
 __all__ = [
     "KIND_OTHER", "KIND_BRANCH", "KIND_LOAD", "KIND_STORE",
     "ISSUE_CLASS_OF", "ISSUE_INDEX_OF", "StaticProgramPlane", "EncodedOps",
-    "encode_uops", "as_encoded", "MAX_ACCESS_SIZE", "VALID_ACCESS_SIZES",
+    "TraceStats", "encode_uops", "MAX_ACCESS_SIZE", "VALID_ACCESS_SIZES",
 ]

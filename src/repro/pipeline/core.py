@@ -32,10 +32,8 @@ checkpoint hand-off (:meth:`OutOfOrderCore.export_state` /
 itself — dispatch, issue, wakeup, commit, flush, and the event-aware idle
 fast-forward (``CoreConfig.idle_skip``) fused into one pass over
 struct-of-arrays in-flight state — is
-:func:`repro.pipeline._vector_loop.run_core_loop`.  It runs on the
-static-plane trace representation (:class:`~repro.isa.plane.EncodedOps`);
-a :class:`~repro.isa.trace.DynamicTrace` or plain micro-op sequence is
-interned onto a plane when :meth:`OutOfOrderCore.run` binds it.
+:func:`repro.pipeline._vector_loop.run_core_loop`.  It runs on the one
+trace type, the static-plane :class:`~repro.isa.plane.EncodedOps`.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.frontend.branch_predictor import BranchUnit
-from repro.isa.plane import KIND_LOAD, EncodedOps, as_encoded
+from repro.isa.plane import KIND_LOAD, EncodedOps
 from repro.lsu.load_queue import LoadQueue
 from repro.lsu.policies import SQPolicy
 from repro.lsu.store_queue import StoreQueue
@@ -177,17 +175,16 @@ class OutOfOrderCore:
 
     # ------------------------------------------------------------------ run --
 
-    def run(self, trace, warm_memory: bool = True,
+    def run(self, trace: EncodedOps, warm_memory: bool = True,
             stats_warmup_fraction: float = 0.0,
             stats_warmup_instructions: Optional[int] = None,
             stats_measure_instructions: Optional[int] = None) -> SimulationResult:
         """Simulate ``trace`` to completion and return the result.
 
         ``trace`` is an :class:`~repro.isa.plane.EncodedOps` (what the
-        workload generators produce) or a
-        :class:`~repro.isa.trace.DynamicTrace` / micro-op sequence, which
-        is interned onto a static plane first (content-preserving, so both
-        forms simulate identically).
+        workload generators produce); anything else raises
+        :class:`TypeError` — intern a hand-built micro-op list with
+        :func:`~repro.isa.plane.encode_uops` first.
 
         ``stats_warmup_fraction`` discards the statistics accumulated over the
         first fraction of committed instructions (while keeping all
@@ -208,8 +205,10 @@ class OutOfOrderCore:
         """
         if not 0.0 <= stats_warmup_fraction < 1.0:
             raise ValueError("stats_warmup_fraction must be in [0, 1)")
-        trace_name = getattr(trace, "name", "trace")
-        encoded = as_encoded(trace)
+        if not isinstance(trace, EncodedOps):
+            raise TypeError(
+                f"OutOfOrderCore.run takes an EncodedOps trace, not "
+                f"{type(trace).__name__}; use encode_uops(uops, name=...)")
         # Policies that keep the base-class SVW re-execution filter / store
         # commit hooks get the loop's inlined commit-path versions;
         # overrides are honoured via the methods.  Checked once per run,
@@ -219,9 +218,9 @@ class OutOfOrderCore:
                              is SQPolicy.needs_reexecution)
         self._fast_store_commit = (policy_type.store_committed
                                    is SQPolicy.store_committed)
-        total = len(encoded)
+        total = len(trace)
         if warm_memory:
-            self._warm_caches(encoded)
+            self._warm_caches(trace)
 
         if stats_warmup_instructions is not None:
             if not 0 <= stats_warmup_instructions < max(total, 1):
@@ -239,7 +238,7 @@ class OutOfOrderCore:
 
         (warmup_cycle_offset, warmup_instr_offset, warmup_l1_misses,
          warmup_l2_misses, mlp_base) = run_core_loop(
-            self, encoded, warmup_committed, stop_committed)
+            self, trace, warmup_committed, stop_committed)
 
         # Report only the measured (post-warm-up) region — the miss
         # counters subtract the warm-up share so every SimStats field
@@ -272,7 +271,7 @@ class OutOfOrderCore:
             stats.mshr_occupancy = mlp_stats.occupancy_peak
             extra["mlp_avg"] = stats.mlp_avg
             extra["mshr_occupancy"] = float(stats.mshr_occupancy)
-        return SimulationResult(workload=trace_name, policy=self.policy.name,
+        return SimulationResult(workload=trace.name, policy=self.policy.name,
                                 stats=stats, config=self.config, extra=extra)
 
     def _warm_caches(self, encoded: EncodedOps) -> None:

@@ -5,18 +5,15 @@ executes each interval (functional warming -> detailed warm-up -> measured
 region), and merges the interval measurements into one
 :class:`~repro.sampling.result.SampledSimulationResult`.
 
-Three entry points, all producing bit-identical results:
-
-* :func:`run_interval_job` — one :class:`~repro.exec.jobs.IntervalJobSpec`;
-  this is what runs inside :class:`~repro.exec.engine.ExperimentEngine`
-  pool workers and what the result cache stores, one entry per interval.
-* :func:`run_sampled_workload` — a whole sampled run, serially, by
-  workload *name* (regenerating each interval's trace window; the full
-  trace is never materialised).
-* :func:`run_sampled_trace` — a whole sampled run over an already
-  materialised :class:`~repro.isa.trace.DynamicTrace` (the
-  :func:`repro.harness.runner.run_workload` path; also used by tests with
-  custom traces).
+There is one way to run a sampled simulation:
+:class:`~repro.exec.engine.ExperimentEngine`, which calls the three stages
+here — :func:`expand_sampled_spec` (one
+:class:`~repro.exec.jobs.IntervalJobSpec` per interval), then
+:func:`run_interval_job` per interval (in pool workers or serially; this is
+what the result cache stores, one entry per interval), then
+:func:`merge_interval_records`.  Checkpointed warming adds a generation
+stage between expansion and the interval jobs
+(:mod:`repro.sampling.checkpoints`).
 
 Imports from :mod:`repro.harness` are deferred inside functions: the
 harness imports the engine, the engine expands sampled specs through this
@@ -29,8 +26,6 @@ from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from repro.exec.jobs import IntervalJobSpec, JobSpec
 from repro.isa.plane import EncodedOps
-from repro.isa.trace import DynamicTrace
-from repro.isa.uop import MicroOp
 from repro.pipeline.core import OutOfOrderCore
 from repro.sampling.functional import FunctionalWarmer
 from repro.sampling.plan import IntervalWindow
@@ -79,7 +74,7 @@ def _overrun(config) -> int:
     return config.rob_size + 4 * config.rename_width
 
 
-def _simulate_window(uops: Sequence[MicroOp], window: IntervalWindow,
+def _simulate_window(uops: EncodedOps, window: IntervalWindow,
                      workload: str, config_name: str,
                      settings: "ExperimentSettings",
                      predictors: Optional["PredictorSuiteConfig"],
@@ -87,10 +82,8 @@ def _simulate_window(uops: Sequence[MicroOp], window: IntervalWindow,
     """Detailed warm-up + measured region over an already warmed machine.
 
     ``uops`` covers ``[window.detailed_start, window.measure_end)`` plus up
-    to :func:`_overrun` trailing instructions (encoded on the hot paths; a
-    plain micro-op sequence is interned by the core, bit-identically);
-    ``state`` is the warmed machine state at ``window.detailed_start``
-    (``None`` = cold start).
+    to :func:`_overrun` trailing instructions; ``state`` is the warmed
+    machine state at ``window.detailed_start`` (``None`` = cold start).
     """
     from repro.harness.runner import RunRecord, make_policy
 
@@ -102,41 +95,11 @@ def _simulate_window(uops: Sequence[MicroOp], window: IntervalWindow,
         core = OutOfOrderCore(config, make_policy(config_name,
                                                   sq_size=settings.sq_size,
                                                   predictors=predictors))
-    if isinstance(uops, EncodedOps):
-        trace = uops.with_name(workload)
-    else:
-        trace = DynamicTrace(name=workload, uops=list(uops))
     result = core.run(
-        trace, warm_memory=False,
+        uops.with_name(workload), warm_memory=False,
         stats_warmup_instructions=window.measure_start - window.detailed_start,
         stats_measure_instructions=window.measure_length)
     return RunRecord(workload=workload, config_name=config_name, result=result)
-
-
-def _run_interval(uops: Sequence[MicroOp], window: IntervalWindow,
-                  workload: str, config_name: str,
-                  settings: "ExperimentSettings",
-                  predictors: Optional["PredictorSuiteConfig"]) -> "RunRecord":
-    """Bounded-warming interval: functionally warm, then simulate.
-
-    ``uops`` covers ``[window.functional_start, window.measure_end)`` plus
-    up to :func:`_overrun` trailing instructions.
-    """
-    from repro.harness.runner import make_policy
-
-    config = settings.core
-    policy = make_policy(config_name, sq_size=settings.sq_size,
-                         predictors=predictors)
-    warm_len = window.functional_length
-    if warm_len:
-        warmer = FunctionalWarmer(config, policy,
-                                  start_index=window.functional_start)
-        warmer.warm(uops[:warm_len])
-        state = warmer.export_state()
-    else:
-        state = None
-    return _simulate_window(uops[warm_len:], window, workload, config_name,
-                            settings, predictors, state)
 
 
 def run_interval_job(spec: IntervalJobSpec) -> "RunRecord":
@@ -173,8 +136,20 @@ def run_interval_job(spec: IntervalJobSpec) -> "RunRecord":
     uops = build_workload_window(spec.workload, settings.instructions,
                                  settings.seed, window.functional_start, stop,
                                  disk_memo=False)
-    return _run_interval(uops, window, spec.workload, spec.config_name,
-                         settings, spec.predictors)
+    warm_len = window.functional_length
+    state = None
+    if warm_len:
+        from repro.harness.runner import make_policy
+
+        warmer = FunctionalWarmer(
+            settings.core, make_policy(spec.config_name,
+                                       sq_size=settings.sq_size,
+                                       predictors=spec.predictors),
+            start_index=window.functional_start)
+        warmer.warm(uops[:warm_len])
+        state = warmer.export_state()
+    return _simulate_window(uops[warm_len:], window, spec.workload,
+                            spec.config_name, settings, spec.predictors, state)
 
 
 def merge_interval_records(spec: JobSpec,
@@ -225,104 +200,3 @@ def merge_interval_records(spec: JobSpec,
     )
     return RunRecord(workload=spec.workload, config_name=spec.config_name,
                      result=result)
-
-
-def run_sampled_workload(workload: str, config_name: str,
-                         settings: "ExperimentSettings",
-                         predictors: Optional["PredictorSuiteConfig"] = None,
-                         checkpoint_dir: Optional[str] = None
-                         ) -> "RunRecord":
-    """Run a whole sampled simulation serially, by workload name.
-
-    Interval trace windows are regenerated on demand; the full trace is
-    never materialised, so this scales to paper-length (10M-instruction)
-    runs in bounded memory.  Bit-identical to the engine's fanned-out
-    execution of the same spec, including the checkpointed-warming
-    resolution: when ``settings.checkpoints`` (or ``REPRO_CHECKPOINTS``)
-    enables checkpointing, the store at ``checkpoint_dir`` (``None`` =
-    environment default) is populated with one functional pass and every
-    interval starts from its full-history snapshot.
-    """
-    from repro.sampling.checkpoints import (
-        CheckpointStore,
-        plan_generation,
-        resolve_checkpointed,
-        run_shard_job,
-    )
-
-    spec = JobSpec(workload, config_name, settings, predictors)
-    checkpointed = resolve_checkpointed(settings)
-    if checkpointed:
-        store = CheckpointStore(checkpoint_dir)
-        interval_specs = expand_sampled_spec(
-            spec, checkpointed=True, checkpoint_dir=str(store.directory))
-        jobs, _stats = plan_generation(store, interval_specs)
-        for job in jobs:
-            run_shard_job(job)
-    else:
-        interval_specs = expand_sampled_spec(spec)
-    records = [run_interval_job(interval_spec)
-               for interval_spec in interval_specs]
-    return merge_interval_records(spec, records)
-
-
-def run_sampled_trace(trace: DynamicTrace, config_name: str,
-                      settings: "ExperimentSettings",
-                      predictors: Optional["PredictorSuiteConfig"] = None
-                      ) -> "RunRecord":
-    """Run a whole sampled simulation over a materialised trace.
-
-    The whole trace is sampled — exactly the region the full-detail path
-    simulates for the same trace — so for generator-built traces (where
-    ``len(trace) == settings.instructions``) this produces the same record
-    as :func:`run_sampled_workload`, and for custom traces the sampled
-    estimate targets the same population as the detailed run it
-    approximates.
-
-    Checkpointed warming (resolved exactly as in
-    :func:`run_sampled_workload`) is implemented in memory here: one
-    cumulative functional pass over the materialised trace is snapshotted
-    (serialised, matching the on-disk store's copy semantics bit for bit) at
-    each interval's detailed-warmup start, so the record equals the
-    store-backed paths without touching the store — custom traces are not
-    content-addressable by ``(name, instructions, seed)``.
-    """
-    from repro.sampling.checkpoints import resolve_checkpointed
-
-    plan = settings.sampling
-    if plan is None:
-        raise ValueError("settings carry no sampling plan")
-    total = len(trace)
-    windows = plan.intervals(total)
-    spec = JobSpec(trace.name, config_name, settings, predictors)
-    records = []
-    if resolve_checkpointed(settings):
-        import pickle
-
-        from repro.harness.runner import make_policy
-
-        warmer = FunctionalWarmer(
-            settings.core, make_policy(config_name, sq_size=settings.sq_size,
-                                       predictors=predictors))
-        position = 0
-        for window in windows:
-            warmer.warm(trace[position:window.detailed_start])
-            position = window.detailed_start
-            # Pickle round trip = the frozen-copy semantics of the store.
-            state = pickle.loads(pickle.dumps(warmer.state))
-            stop = min(total, window.measure_end + _overrun(settings.core))
-            records.append(_simulate_window(
-                trace[window.detailed_start:stop], window, trace.name,
-                config_name, settings, predictors, state))
-    else:
-        for window in windows:
-            stop = min(total, window.measure_end + _overrun(settings.core))
-            uops = trace[window.functional_start:stop]
-            records.append(_run_interval(uops, window, trace.name, config_name,
-                                         settings, predictors))
-    if total != settings.instructions:
-        import dataclasses
-
-        spec = dataclasses.replace(
-            spec, settings=dataclasses.replace(settings, instructions=total))
-    return merge_interval_records(spec, records)

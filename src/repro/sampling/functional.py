@@ -40,11 +40,9 @@ short detailed warm-up (:class:`~repro.sampling.plan.SamplingPlan`'s *W*)
 lets the short-lived state (window occupancy, in-flight dependences, DDP
 counters) settle before measurement begins.
 
-**Encoded input** (PR 5): the warm loop consumes two-plane encoded streams
-(:class:`~repro.isa.plane.EncodedOps`) natively — static fields come from
-the shared plane's arrays, dynamic fields from the stream — and encodes
-plain micro-op sequences on entry, so there is exactly one warming fold
-whatever the input form.
+**Encoded input**: the warm loop consumes the one trace type, two-plane
+:class:`~repro.isa.plane.EncodedOps` streams — static fields come from the
+shared plane's arrays, dynamic fields from the stream.
 
 **Multi-policy warming** (PR 3): everything above except the policy tables is
 configuration-independent, so one replay pass can warm several store-queue
@@ -60,11 +58,10 @@ sequence is identical to the original single-policy warmer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.frontend.branch_predictor import BranchUnit
-from repro.isa.plane import KIND_BRANCH, KIND_LOAD, KIND_STORE, EncodedOps, encode_uops
-from repro.isa.uop import MicroOp
+from repro.isa.plane import KIND_BRANCH, KIND_LOAD, KIND_STORE, EncodedOps
 from repro.lsu.policies import SQPolicy
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.mlp import build_hierarchy
@@ -139,21 +136,14 @@ class FunctionalWarmer:
 
     # ------------------------------------------------------------------ warm --
 
-    def warm(self, uops: Union[EncodedOps, Sequence[MicroOp]]) -> None:
+    def warm(self, uops: EncodedOps) -> None:
         """Functionally retire ``uops`` in order.
 
         Shared structures (caches, branch tables, memory image, SSN
         counters, last-writer map) are updated once per micro-op; every
         policy's warming hooks run against that shared state, with the
         would-forward window computed per policy (SQ sizes may differ).
-
-        ``uops`` is an :class:`~repro.isa.plane.EncodedOps` stream on the
-        hot paths (interval jobs, checkpoint generation); a plain micro-op
-        sequence (custom traces) is encoded on entry, so there is exactly
-        one warming fold and the two input forms cannot drift.
         """
-        if not isinstance(uops, EncodedOps):
-            uops = encode_uops(uops)
         state = self.state
         branch_resolve = state.branch_unit.predict_and_resolve
         hierarchy = state.hierarchy

@@ -12,10 +12,9 @@ interns the instruction's static descriptor into the program's shared
 program name, :func:`plane_for`) and appends only the dynamic fields to the
 :class:`~repro.isa.plane.EncodedOps` under construction — no per-uop object
 is ever built on this path.  :meth:`ProgramBuilder.finish` returns the
-encoded stream, which supports the old :class:`~repro.isa.trace.DynamicTrace`
-reading surface (``len``, iteration/indexing as
-:class:`~repro.isa.uop.MicroOp` views, ``.stats``, ``.uops``), so kernels,
-tests, and examples are unchanged.
+encoded stream, the one trace type; tests and examples read it through
+``len``, iteration/indexing as :class:`~repro.isa.uop.MicroOp` views,
+``.stats`` and ``.uops``.
 
 A :class:`Kernel` is a small static code fragment: it allocates its PCs,
 registers, and memory regions once at construction and then emits one loop

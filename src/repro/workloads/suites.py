@@ -184,7 +184,7 @@ class WorkloadComposer:
                 self._pick(self._background_pool).emit()
             if profile.branchy > 0.0 and self._rng.random() < profile.branchy:
                 self._branchy.emit()
-        return self.builder.finish().truncated(instructions)
+        return self.builder.finish().slice(0, instructions)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +338,9 @@ def build_workload(name: str, instructions: int = DEFAULT_INSTRUCTIONS,
     The trace is the concatenation of its ``TRACE_SEGMENT_UOPS``-long
     segments (see the module docstring); traces that fit in one segment are
     bit-identical to a direct single compose.  The returned
-    :class:`~repro.isa.plane.EncodedOps` supports the old
-    :class:`~repro.isa.trace.DynamicTrace` reading surface (``len``,
-    iteration/indexing as micro-op views, ``.stats``, ``.uops``) and is what
-    the detailed core's static-plane fast path consumes directly.
+    :class:`~repro.isa.plane.EncodedOps` is what the detailed core and the
+    functional warmer consume; ``len``, iteration/indexing as micro-op
+    views, ``.stats`` and ``.uops`` read it.
     """
     if instructions <= 0:
         raise ValueError("instruction budget must be positive")

@@ -94,8 +94,8 @@ def _mlp() -> dict:
 
 
 def _sampled(checkpointed: bool) -> dict:
+    from repro.exec import ExperimentEngine, JobSpec
     from repro.harness.runner import ExperimentSettings
-    from repro.sampling.driver import run_sampled_workload
 
     settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
                                   sampling=_plan(),
@@ -103,9 +103,9 @@ def _sampled(checkpointed: bool) -> dict:
     out = {}
     for config in SAMPLED_CONFIGS:
         with tempfile.TemporaryDirectory(prefix="repro-golden-ckpt-") as ckpt:
-            record = run_sampled_workload(
-                SAMPLED_WORKLOAD, config, settings,
-                checkpoint_dir=ckpt if checkpointed else None)
+            record, = ExperimentEngine(jobs=1, cache=False,
+                                       checkpoint_dir=ckpt).run(
+                [JobSpec(SAMPLED_WORKLOAD, config, settings)])
         sampled = record.result.sampled
         out[f"{SAMPLED_WORKLOAD}/{config}"] = {
             "stats": _stats_dict(record.result.stats),

@@ -7,10 +7,13 @@ against those frozen numbers — not merely against themselves — so a
 representation change that silently shifts any statistic fails here even if
 it is internally self-consistent.
 
-The same runs are additionally fed as materialised
-:class:`~repro.isa.uop.MicroOp` views (a :class:`~repro.isa.trace.DynamicTrace`),
-which the core interns back onto a static plane: that path must reproduce
-the frozen counters too.
+The same runs are additionally fed as hand-built traces: the generator's
+micro-ops decoded to :class:`~repro.isa.uop.MicroOp` objects and re-encoded
+with :func:`~repro.isa.plane.encode_uops` onto a fresh static plane.  That
+path must reproduce the frozen counters too.
+
+The sampled cells run through :class:`~repro.exec.engine.ExperimentEngine`,
+the one sampled-run path.
 
 The ``mlp`` cells pin the non-blocking MSHR hierarchy (8 and 16 entries,
 and 8 entries with the stride prefetcher) on two workloads and two SQ
@@ -28,12 +31,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec import ExperimentEngine, JobSpec
 from repro.harness.runner import ExperimentSettings, run_workload
-from repro.isa.trace import DynamicTrace
+from repro.isa.plane import encode_uops
 from repro.memory.hierarchy import MemoryHierarchyConfig
 from repro.memory.mshr import MLPConfig, PrefetchConfig
 from repro.pipeline.config import CoreConfig
-from repro.sampling.driver import run_sampled_workload
 from repro.sampling.plan import SamplingPlan
 from repro.workloads.suites import build_workload
 
@@ -73,6 +76,13 @@ def _stats_dict(stats) -> dict:
     return {name: value for name, value in sorted(stats.as_dict().items())}
 
 
+def _run_sampled(config, settings, checkpoint_dir=None):
+    record, = ExperimentEngine(jobs=1, cache=False,
+                               checkpoint_dir=checkpoint_dir).run(
+        [JobSpec(SAMPLED_WORKLOAD, config, settings)])
+    return record
+
+
 class TestFullDetailGoldens:
     @pytest.mark.parametrize("workload", FULL_DETAIL_WORKLOADS)
     def test_encoded_path_matches_frozen_counters(self, golden, workload):
@@ -90,7 +100,7 @@ class TestFullDetailGoldens:
         settings = ExperimentSettings(instructions=FULL_DETAIL_INSTRUCTIONS)
         encoded = build_workload(workload,
                                  instructions=FULL_DETAIL_INSTRUCTIONS, seed=1)
-        object_trace = DynamicTrace(name=workload, uops=encoded.uops)
+        object_trace = encode_uops(encoded.uops, name=workload)
         for config in FULL_DETAIL_CONFIGS:
             record = run_workload(object_trace, config, settings)
             want = golden["full_detail"][f"{workload}/{config}"]
@@ -102,7 +112,7 @@ class TestSampledGoldens:
     def test_bounded_sampled_run_matches_frozen_counters(self, golden, config):
         settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
                                       sampling=_plan(), checkpoints=False)
-        record = run_sampled_workload(SAMPLED_WORKLOAD, config, settings)
+        record = _run_sampled(config, settings)
         want = golden["sampled_bounded"][f"{SAMPLED_WORKLOAD}/{config}"]
         sampled = record.result.sampled
         assert _stats_dict(record.result.stats) == want["stats"]
@@ -117,8 +127,7 @@ class TestSampledGoldens:
         settings = ExperimentSettings(instructions=SAMPLED_INSTRUCTIONS,
                                       sampling=_plan(), checkpoints=True)
         with tempfile.TemporaryDirectory(prefix="repro-golden-ckpt-") as ckpt:
-            record = run_sampled_workload(SAMPLED_WORKLOAD, config, settings,
-                                          checkpoint_dir=ckpt)
+            record = _run_sampled(config, settings, ckpt)
         want = golden["sampled_checkpointed"][f"{SAMPLED_WORKLOAD}/{config}"]
         sampled = record.result.sampled
         assert _stats_dict(record.result.stats) == want["stats"]

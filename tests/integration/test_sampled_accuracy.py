@@ -3,9 +3,9 @@
 Asserts the acceptance contract of `repro.sampling`: on a small trace the
 sampled CPI estimate must land within a stated error bound (±3%) of the
 full-detail CPI for at least two store-queue configurations, the reported
-confidence interval must cover the full-detail value, and every execution
-path (serial driver, engine expansion, pre-materialised trace) must agree
-bit for bit.
+confidence interval must cover the full-detail value, and the engine
+(serial and parallel), its stages driven by hand and an in-memory run over
+a materialised trace must agree bit for bit.
 
 The validation plan uses *full* functional warming (``functional_warmup``
 covering the whole trace) — the faithful SMARTS configuration in which the
@@ -22,13 +22,26 @@ same plan, and its serial/parallel/cached executions bit-identical.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
-from repro.exec import ExperimentEngine, JobSpec, ResultCache
-from repro.harness.runner import ExperimentSettings, run_workload
+from repro.exec import ExperimentEngine, JobSpec, ResultCache, run_job
+from repro.harness.runner import (
+    ExperimentSettings,
+    RunRecord,
+    make_policy,
+    run_workload,
+)
+from repro.pipeline.core import OutOfOrderCore
 from repro.sampling import SamplingPlan
-from repro.sampling.driver import run_sampled_workload
+from repro.sampling.checkpoints import resolve_checkpointed
+from repro.sampling.driver import (
+    _overrun,
+    expand_sampled_spec,
+    merge_interval_records,
+)
+from repro.sampling.functional import FunctionalWarmer
 from repro.workloads.suites import build_workload
 
 WORKLOAD = "vortex"
@@ -64,12 +77,67 @@ def full_detail_cpi(trace, config_name):
     return stats.cycles / stats.committed
 
 
+def _run_sampled(config_name, settings, checkpoint_dir=None):
+    record, = ExperimentEngine(jobs=1, cache=False,
+                               checkpoint_dir=checkpoint_dir).run(
+        [JobSpec(WORKLOAD, config_name, settings)])
+    return record
+
+
+def _materialised_sampled_run(trace, config_name, settings):
+    """A sampled run over a materialised trace, held entirely in memory.
+
+    An oracle independent of the engine, the trace-window memo and the
+    checkpoint store.  Checkpointed settings warm one cumulative functional
+    pass over the trace and snapshot it (a pickle round trip: the store's
+    copy semantics) at each interval's detailed-warmup start; bounded
+    settings warm each interval's own window from a cold machine.
+    """
+    config = settings.core
+    total = len(trace)
+
+    def fresh_policy():
+        return make_policy(config_name, sq_size=settings.sq_size)
+
+    cumulative = (FunctionalWarmer(config, fresh_policy())
+                  if resolve_checkpointed(settings) else None)
+    position = 0
+    records = []
+    for window in settings.sampling.intervals(total):
+        if cumulative is not None:
+            cumulative.warm(trace[position:window.detailed_start])
+            position = window.detailed_start
+            state = pickle.loads(pickle.dumps(cumulative.state))
+        elif window.functional_length:
+            warmer = FunctionalWarmer(config, fresh_policy(),
+                                      start_index=window.functional_start)
+            warmer.warm(trace[window.functional_start:window.detailed_start])
+            state = warmer.export_state()
+        else:
+            state = None
+        if state is not None:
+            core = OutOfOrderCore(config, state.policy)
+            core.import_state(state)
+        else:
+            core = OutOfOrderCore(config, fresh_policy())
+        stop = min(total, window.measure_end + _overrun(config))
+        result = core.run(
+            trace[window.detailed_start:stop], warm_memory=False,
+            stats_warmup_instructions=(window.measure_start
+                                       - window.detailed_start),
+            stats_measure_instructions=window.measure_length)
+        records.append(RunRecord(workload=trace.name,
+                                 config_name=config_name, result=result))
+    return merge_interval_records(
+        JobSpec(trace.name, config_name, settings), records)
+
+
 @pytest.fixture(scope="module")
-def sampled_record(trace, config_name):
+def sampled_record(config_name):
     settings = ExperimentSettings(instructions=INSTRUCTIONS,
                                   stats_warmup_fraction=0.0,
                                   sampling=FULL_PLAN)
-    return run_workload(trace, config_name, settings)
+    return _run_sampled(config_name, settings)
 
 
 class TestSampledAccuracy:
@@ -97,7 +165,8 @@ class TestSampledAccuracy:
 
 
 class TestExecutionPathEquivalence:
-    """Serial driver, engine expansion, and trace-slicing paths agree."""
+    """The engine, its stages driven by hand, a materialised trace and a
+    parallel engine run agree."""
 
     SETTINGS = ExperimentSettings(
         instructions=30_000, stats_warmup_fraction=0.0,
@@ -106,11 +175,12 @@ class TestExecutionPathEquivalence:
 
     def test_engine_serial_and_trace_paths_identical(self):
         config = "indexed-3-fwd+dly"
-        engine_record, = ExperimentEngine(jobs=1, cache=False).run(
-            [JobSpec(WORKLOAD, config, self.SETTINGS)])
-        serial_record = run_sampled_workload(WORKLOAD, config, self.SETTINGS)
+        spec = JobSpec(WORKLOAD, config, self.SETTINGS)
+        engine_record, = ExperimentEngine(jobs=1, cache=False).run([spec])
+        serial_record = merge_interval_records(
+            spec, [run_job(interval) for interval in expand_sampled_spec(spec)])
         trace = build_workload(WORKLOAD, 30_000, seed=1)
-        trace_record = run_workload(trace, config, self.SETTINGS)
+        trace_record = _materialised_sampled_run(trace, config, self.SETTINGS)
         reference = engine_record.result.stats.as_dict()
         assert serial_record.result.stats.as_dict() == reference
         assert trace_record.result.stats.as_dict() == reference
@@ -142,8 +212,7 @@ def checkpointed_record(config_name, checkpoint_store_dir):
     settings = ExperimentSettings(instructions=INSTRUCTIONS,
                                   stats_warmup_fraction=0.0,
                                   sampling=CHECKPOINT_PLAN, checkpoints=True)
-    return run_sampled_workload(WORKLOAD, config_name, settings,
-                                checkpoint_dir=checkpoint_store_dir)
+    return _run_sampled(config_name, settings, checkpoint_store_dir)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +220,7 @@ def bounded_record(config_name):
     settings = ExperimentSettings(instructions=INSTRUCTIONS,
                                   stats_warmup_fraction=0.0,
                                   sampling=CHECKPOINT_PLAN, checkpoints=False)
-    return run_sampled_workload(WORKLOAD, config_name, settings)
+    return _run_sampled(config_name, settings)
 
 
 class TestCheckpointedAccuracy:
@@ -187,14 +256,13 @@ class TestCheckpointedAccuracy:
 
     def test_materialised_trace_path_bit_identical(self, checkpointed_record,
                                                    trace, config_name):
-        # run_workload over a materialised trace implements checkpointing
-        # in memory (one cumulative warming pass, serialised snapshots);
-        # it must equal the store-backed driver bit for bit.
+        # One cumulative warming pass over a materialised trace, snapshotted
+        # in memory, must equal the store-backed engine run bit for bit.
         settings = ExperimentSettings(instructions=INSTRUCTIONS,
                                       stats_warmup_fraction=0.0,
                                       sampling=CHECKPOINT_PLAN,
                                       checkpoints=True)
-        trace_record = run_workload(trace, config_name, settings)
+        trace_record = _materialised_sampled_run(trace, config_name, settings)
         assert (trace_record.result.stats.as_dict()
                 == checkpointed_record.result.stats.as_dict())
 
@@ -231,10 +299,9 @@ class TestBoundedWarmingSmoke:
         settings = ExperimentSettings(instructions=INSTRUCTIONS,
                                       stats_warmup_fraction=0.0,
                                       sampling=bounded)
-        record = run_sampled_workload(WORKLOAD, "indexed-3-fwd+dly", settings)
+        record = _run_sampled("indexed-3-fwd+dly", settings)
         full_settings = dataclasses.replace(settings, sampling=FULL_PLAN)
-        full_record = run_sampled_workload(WORKLOAD, "indexed-3-fwd+dly",
-                                           full_settings)
+        full_record = _run_sampled("indexed-3-fwd+dly", full_settings)
         bounded_cpi = record.result.sampled.cpi_mean
         full_cpi = full_record.result.sampled.cpi_mean
         assert abs(bounded_cpi - full_cpi) / full_cpi <= 0.10

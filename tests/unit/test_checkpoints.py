@@ -37,8 +37,8 @@ from repro.sampling.checkpoints import (
 )
 from repro.sampling.driver import (
     expand_sampled_spec,
+    merge_interval_records,
     run_interval_job,
-    run_sampled_workload,
 )
 from repro.sampling.functional import FunctionalWarmer
 from repro.workloads.suites import build_workload, build_workload_window
@@ -86,20 +86,20 @@ class TestMultiPolicyWarming:
         configs = ("indexed-3-fwd+dly", "associative-5-predictive")
         multi_policies = [make_policy(name) for name in configs]
         multi = FunctionalWarmer(CoreConfig(), policies=multi_policies)
-        multi.warm(trace.uops)
+        multi.warm(trace)
         for name, warmed in zip(configs, multi_policies):
             single_policy = make_policy(name)
             single = FunctionalWarmer(CoreConfig(), single_policy)
-            single.warm(trace.uops)
+            single.warm(trace)
             assert warmed.state_signature() == single_policy.state_signature(), name
 
     def test_shared_state_matches_single_policy_pass(self):
         trace = build_workload(WORKLOAD, self.PREFIX, seed=1)
         multi = FunctionalWarmer(CoreConfig(), policies=[
             make_policy("indexed-3-fwd+dly"), make_policy("associative-3")])
-        multi.warm(trace.uops)
+        multi.warm(trace)
         single = FunctionalWarmer(CoreConfig(), make_policy("indexed-3-fwd+dly"))
-        single.warm(trace.uops)
+        single.warm(trace)
         a, b = multi.state, single.state
         assert a.branch_unit.state_signature() == b.branch_unit.state_signature()
         assert a.hierarchy.state_signature() == b.hierarchy.state_signature()
@@ -125,7 +125,7 @@ class TestExportImportRoundTrip:
     def warmed_blob(self):
         trace = build_workload(WORKLOAD, self.PREFIX, seed=1)
         warmer = FunctionalWarmer(CoreConfig(), make_policy(CONFIG))
-        warmer.warm(trace.uops)
+        warmer.warm(trace)
         return pickle.dumps(warmer.export_state())
 
     def test_every_structure_survives_the_round_trip(self, warmed_blob):
@@ -155,10 +155,7 @@ class TestExportImportRoundTrip:
         for _ in range(2):
             core = OutOfOrderCore(CoreConfig(), make_policy(CONFIG))
             core.import_state(pickle.loads(warmed_blob))
-            from repro.isa.trace import DynamicTrace
-
-            result = core.run(DynamicTrace(name=WORKLOAD, uops=list(window)),
-                              warm_memory=False)
+            result = core.run(window, warm_memory=False)
             results.append(result.stats.as_dict())
         assert results[0] == results[1]
 
@@ -280,10 +277,17 @@ class TestEngineGeneration:
         assert stats["checkpoint_chains"] == 1  # one worker, one policy group
 
     def test_engine_matches_serial_driver(self, tmp_path):
-        engine = ExperimentEngine(jobs=1, cache=False, checkpoint_dir=tmp_path)
-        record, = engine.run([JobSpec(WORKLOAD, CONFIG, SETTINGS)])
-        serial = run_sampled_workload(WORKLOAD, CONFIG, SETTINGS,
-                                      checkpoint_dir=str(tmp_path))
+        """The engine's record equals its stages run by hand in order:
+        expand, generate, one interval job each, merge."""
+        spec = JobSpec(WORKLOAD, CONFIG, SETTINGS)
+        engine = ExperimentEngine(jobs=1, cache=False,
+                                  checkpoint_dir=tmp_path / "engine")
+        record, = engine.run([spec])
+        store = CheckpointStore(tmp_path / "stages")
+        intervals = _checkpointed_specs(store)
+        execute_generation(plan_generation(store, intervals)[0])
+        serial = merge_interval_records(
+            spec, [run_interval_job(interval) for interval in intervals])
         assert record.result.stats.as_dict() == serial.result.stats.as_dict()
 
 
@@ -504,8 +508,9 @@ class TestEngineGenerationJobs:
         record, = engine.run([spec])
         assert engine.last_run_stats["checkpoint_chains"] == 1
         assert log.read_text().splitlines() == [WORKLOAD]
-        serial = run_sampled_workload(WORKLOAD, CONFIG, GROUP_SETTINGS,
-                                      checkpoint_dir=str(tmp_path / "serial"))
+        serial, = ExperimentEngine(
+            jobs=1, cache=False,
+            checkpoint_dir=tmp_path / "serial").run([spec])
         assert record.result.stats.as_dict() == serial.result.stats.as_dict()
         assert (record.result.sampled.cpi_mean
                 == serial.result.sampled.cpi_mean)

@@ -4,8 +4,8 @@ The run loop (:mod:`repro.pipeline._vector_loop`) keeps the reorder buffer
 and load queue in struct-of-arrays form and writes their counters back to
 :class:`~repro.pipeline.rob.ReorderBuffer` and
 :class:`~repro.lsu.load_queue.LoadQueue` after every run.  These tests pin
-the invariants those counters must satisfy after a complete run, the trace
-forms ``run`` accepts, and the ``VectorCore`` alias that class-level
+the invariants those counters must satisfy after a complete run, the one
+trace form ``run`` accepts, and the ``VectorCore`` alias that class-level
 instrumentation hooks into.
 """
 
@@ -14,7 +14,7 @@ from functools import lru_cache
 import pytest
 
 from repro.harness.runner import make_policy
-from repro.isa.trace import DynamicTrace
+from repro.isa.plane import encode_uops
 from repro.pipeline.config import CoreConfig, small_test_config
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.vector import VectorCore
@@ -107,14 +107,15 @@ class TestTraceForms:
         return _signature(OutOfOrderCore(
             CoreConfig(), make_policy("indexed-3-fwd+dly")).run(encoded))
 
-    def test_dynamic_trace_is_interned(self, encoded, reference):
-        trace = DynamicTrace(name=encoded.name, uops=encoded.uops)
-        core = OutOfOrderCore(CoreConfig(), make_policy("indexed-3-fwd+dly"))
-        assert _signature(core.run(trace)) == reference
-
     def test_microop_list_is_interned(self, encoded, reference):
         core = OutOfOrderCore(CoreConfig(), make_policy("indexed-3-fwd+dly"))
-        assert _signature(core.run(list(encoded.uops))) == reference
+        trace = encode_uops(list(encoded.uops), name=encoded.name)
+        assert _signature(core.run(trace)) == reference
+
+    def test_microop_list_raises_type_error(self, encoded):
+        core = OutOfOrderCore(CoreConfig(), make_policy("indexed-3-fwd+dly"))
+        with pytest.raises(TypeError, match="encode_uops"):
+            core.run(encoded.uops)
 
     def test_subclass_runs_the_same_loop(self, encoded, reference):
         class Stock(OutOfOrderCore):

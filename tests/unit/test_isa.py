@@ -1,6 +1,6 @@
 """Unit tests for the trace ISA: micro-ops, registers, traces."""
 
-import io
+import pickle
 
 import pytest
 
@@ -14,7 +14,7 @@ from repro.isa.registers import (
     is_int_reg,
     validate_reg,
 )
-from repro.isa.trace import DynamicTrace, TraceWriter, compute_stats, read_trace, write_trace
+from repro.isa.plane import EncodedOps, encode_uops
 from repro.isa.uop import (
     DEFAULT_LATENCIES,
     MemAccess,
@@ -221,14 +221,14 @@ class TestRegisters:
 # Traces
 # ---------------------------------------------------------------------------
 
-def _small_trace() -> DynamicTrace:
-    writer = TraceWriter("unit")
-    writer.append(make_load(0x400, dest=1, addr=0x1000, size=8))
-    writer.append(make_alu(0x404, dest=2, srcs=(1,)))
-    writer.append(make_store(0x408, addr=0x1000, value=0x55, size=1, srcs=(2,)))
-    writer.append(make_branch(0x40C, taken=True, target=0x400, call=True))
-    writer.append(make_branch(0x410, taken=False))
-    return writer.finish()
+def _small_trace() -> EncodedOps:
+    return encode_uops([
+        make_load(0x400, dest=1, addr=0x1000, size=8),
+        make_alu(0x404, dest=2, srcs=(1,)),
+        make_store(0x408, addr=0x1000, value=0x55, size=1, srcs=(2,)),
+        make_branch(0x40C, taken=True, target=0x400, call=True),
+        make_branch(0x410, taken=False),
+    ], name="unit")
 
 
 class TestTrace:
@@ -244,6 +244,8 @@ class TestTrace:
         assert stats.stores == 1
         assert stats.branches == 2
         assert stats.taken_branches == 1
+        assert stats.int_ops == 1
+        assert stats.fp_ops == 0
 
     def test_stats_unique_pcs(self):
         stats = _small_trace().stats
@@ -258,21 +260,19 @@ class TestTrace:
         assert stats.branch_fraction == pytest.approx(0.4)
 
     def test_empty_trace_stats(self):
-        stats = compute_stats([])
+        stats = EncodedOps().stats
         assert stats.total == 0
         assert stats.load_fraction == 0.0
 
     def test_truncated(self):
         trace = _small_trace()
-        short = trace.truncated(2)
+        short = trace.slice(0, 2)
         assert len(short) == 2 and len(trace) == 5
+        assert short.uops == trace.uops[:2]
 
     def test_serialisation_roundtrip(self):
         trace = _small_trace()
-        buffer = io.StringIO()
-        write_trace(trace, buffer)
-        buffer.seek(0)
-        restored = read_trace(buffer)
+        restored = pickle.loads(pickle.dumps(trace))
         assert restored.name == trace.name
         assert len(restored) == len(trace)
         for original, loaded in zip(trace, restored):
@@ -288,11 +288,8 @@ class TestTrace:
             assert original.is_taken == loaded.is_taken
             assert original.hint_call == loaded.hint_call
 
-    def test_read_trace_rejects_malformed_line(self):
-        with pytest.raises(ValueError):
-            read_trace(io.StringIO("garbage line\n"))
-
     def test_extend(self):
         trace = _small_trace()
-        trace.extend([make_alu(0x500, dest=3)])
+        trace.extend(encode_uops([make_alu(0x500, dest=3)]))
         assert len(trace) == 6
+        assert trace[5].pc == 0x500 and trace[5].dest == 3

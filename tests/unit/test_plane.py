@@ -12,10 +12,8 @@ from repro.isa.plane import (
     KIND_STORE,
     EncodedOps,
     StaticProgramPlane,
-    as_encoded,
     encode_uops,
 )
-from repro.isa.trace import DynamicTrace
 from repro.isa.uop import OpClass, make_alu, make_branch, make_load, make_store
 from repro.workloads.suites import (
     TRACE_SEGMENT_UOPS,
@@ -74,15 +72,21 @@ class TestEncodeDecode:
 
     def test_stats_match_object_form(self):
         trace = build_workload("vortex", instructions=4_000, seed=1)
-        object_stats = DynamicTrace(name="vortex", uops=trace.uops).stats
-        assert trace.stats == object_stats
-
-    def test_as_encoded_passthrough_and_coercion(self):
-        encoded = encode_uops(_sample_uops())
-        assert as_encoded(encoded) is encoded
-        coerced = as_encoded(DynamicTrace(name="t", uops=_sample_uops()))
-        assert coerced.name == "t"
-        assert coerced.uops == _sample_uops()
+        uops = trace.uops
+        stats = trace.stats
+        assert stats.total == len(uops)
+        assert stats.loads == sum(u.is_load for u in uops)
+        assert stats.stores == sum(u.is_store for u in uops)
+        assert stats.branches == sum(u.is_branch for u in uops)
+        assert stats.taken_branches == sum(u.is_branch and u.is_taken
+                                           for u in uops)
+        other = [u for u in uops if not (u.is_memory or u.is_branch)]
+        assert stats.fp_ops == sum(u.op_class.is_fp for u in other)
+        assert stats.int_ops == sum(u.op_class.is_int for u in other)
+        assert stats.unique_pcs == len({u.pc for u in uops})
+        assert stats.unique_load_pcs == len({u.pc for u in uops if u.is_load})
+        assert stats.unique_store_pcs == len({u.pc for u in uops
+                                              if u.is_store})
 
     def test_intern_validates_registers(self):
         plane = StaticProgramPlane()

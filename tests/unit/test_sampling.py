@@ -3,7 +3,8 @@
 Covers the plan math (interval layout, t critical values, CI aggregation),
 the functional warmer's state fidelity against the detailed core, the
 determinism of interval jobs, window regeneration, and the exec-layer
-integration (interval cache keys, sampled-spec expansion).
+integration (interval cache keys, sampled-spec expansion, the engine as
+the only way to run a sampled spec).
 """
 
 import dataclasses
@@ -12,8 +13,8 @@ import pickle
 
 import pytest
 
-from repro.exec import ExperimentEngine, IntervalJobSpec, JobSpec, job_key
-from repro.harness.runner import ExperimentSettings, make_policy
+from repro.exec import ExperimentEngine, IntervalJobSpec, JobSpec, job_key, run_job
+from repro.harness.runner import ExperimentSettings, make_policy, run_workload
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.stats import SimStats
@@ -25,8 +26,8 @@ from repro.sampling import (
 )
 from repro.sampling.driver import (
     expand_sampled_spec,
+    merge_interval_records,
     run_interval_job,
-    run_sampled_workload,
 )
 from repro.sampling.functional import FunctionalWarmer
 from repro.workloads.suites import (
@@ -189,7 +190,7 @@ class TestFunctionalWarming:
         trace = build_workload(WORKLOAD, self.PREFIX, seed=1)
         policy = make_policy(config_name, sq_size=64)
         warmer = FunctionalWarmer(CoreConfig(), policy)
-        warmer.warm(trace.uops)
+        warmer.warm(trace)
         return warmer.state
 
     def test_svw_and_ssn_state_exact_without_flushes(self):
@@ -279,7 +280,8 @@ class TestIntervalJobs:
     def test_spec_and_record_picklable(self):
         spec = IntervalJobSpec(WORKLOAD, "indexed-3-fwd+dly", SETTINGS, 0)
         assert pickle.loads(pickle.dumps(spec)) == spec
-        record = run_sampled_workload(WORKLOAD, "indexed-3-fwd+dly", SETTINGS)
+        record, = ExperimentEngine(jobs=1, cache=False).run(
+            [JobSpec(WORKLOAD, "indexed-3-fwd+dly", SETTINGS)])
         clone = pickle.loads(pickle.dumps(record))
         assert clone.result.sampled.cpi_mean == record.result.sampled.cpi_mean
 
@@ -323,8 +325,21 @@ class TestEngineIntegration:
         assert again.result.stats.as_dict() == record.result.stats.as_dict()
 
     def test_engine_matches_serial_driver(self):
-        engine = ExperimentEngine(jobs=1, cache=False)
-        record, = engine.run([JobSpec(WORKLOAD, "indexed-3-fwd+dly", SETTINGS)])
-        serial = run_sampled_workload(WORKLOAD, "indexed-3-fwd+dly", SETTINGS)
+        """The engine's record equals its stages run by hand in order:
+        expand, one interval job each, merge."""
+        spec = JobSpec(WORKLOAD, "indexed-3-fwd+dly", SETTINGS)
+        record, = ExperimentEngine(jobs=1, cache=False).run([spec])
+        serial = merge_interval_records(
+            spec, [run_interval_job(interval)
+                   for interval in expand_sampled_spec(spec)])
         assert record.result.stats.as_dict() == serial.result.stats.as_dict()
         assert record.result.sampled.cpi_values == serial.result.sampled.cpi_values
+
+    def test_run_job_rejects_unexpanded_sampled_spec(self):
+        with pytest.raises(ValueError, match="ExperimentEngine"):
+            run_job(JobSpec(WORKLOAD, "indexed-3-fwd+dly", SETTINGS))
+
+    def test_run_workload_rejects_sampled_settings(self):
+        trace = build_workload(WORKLOAD, instructions=2_000, seed=1)
+        with pytest.raises(ValueError, match="ExperimentEngine"):
+            run_workload(trace, "indexed-3-fwd+dly", SETTINGS)

@@ -1,6 +1,6 @@
 """Benchmark: statistical sampling vs full-detail simulation.
 
-Three measurements, all recorded in ``BENCH_sampling.json``:
+Five measurements, all recorded in ``BENCH_sampling.json``:
 
 * **Matched-count speedup** — one workload/configuration simulated twice at
   the *same* instruction count (default 1M; ``REPRO_BENCH_SAMPLING_INSTRUCTIONS``):
@@ -37,10 +37,16 @@ Three measurements, all recorded in ``BENCH_sampling.json``:
   results are asserted bit-identical too, and the wall-time ratio is
   recorded; >= 1.5x is asserted when >= 4 CPUs are available at the
   default sweep scale.
+* **Snapshot blobs** (``snapshot_blobs``) — the same checkpointed sweep
+  run serially into a private store, whose blobs are then read back by
+  kind (shared snapshots, trace windows, and each configuration's policy
+  snapshots): count, mean framed bytes and median unpickle time per kind.
 """
 
 import dataclasses
 import os
+import pickle
+import statistics
 import tempfile
 import time
 
@@ -396,6 +402,86 @@ def assert_sharded_generation(data: dict) -> None:
     assert data["group_stats"]["checkpoint_chains"] > 1, data
     if data["cpus"] >= 4 and data["sweep_instructions"] >= 300_000:
         assert data["generation_speedup"] >= 1.5, data
+
+
+def measure_snapshot_blobs(instructions: int = None,
+                           workload: str = SPEEDUP_WORKLOAD,
+                           configs=CHECKPOINT_SWEEP_CONFIGS) -> dict:
+    """Per-kind size and load cost of a checkpointed sweep's store.
+
+    Runs the checkpointed sweep (the plan of
+    :func:`measure_checkpointed_sweep`) serially into a cold private
+    store, then reads every interval's shared snapshot, trace window and
+    per-configuration policy snapshot back.  Bytes are the framed blob on
+    disk; the unpickle time excludes the integrity check.
+    """
+    from repro.exec.cache import _unframe
+    from repro.sampling.checkpoints import (
+        CheckpointStore,
+        policy_key,
+        shared_key,
+        window_key,
+    )
+    from repro.workloads import suites
+
+    instructions = instructions or CHECKPOINT_SWEEP_INSTRUCTIONS
+    period = max(instructions // 20, 4_000)
+    plan = SamplingPlan(interval_length=1_000, detailed_warmup=1_000,
+                        period=period,
+                        functional_warmup=max(period - 2_000, 1_000), seed=0)
+    settings = ExperimentSettings(instructions=instructions,
+                                  stats_warmup_fraction=0.0,
+                                  sampling=plan, checkpoints=True)
+    windows = plan.intervals(instructions)
+
+    with tempfile.TemporaryDirectory(prefix="repro-bench-blobs-") as root:
+        store = CheckpointStore(os.path.join(root, "store"))
+        suites._SEGMENT_CACHE.clear()
+        ExperimentEngine(jobs=1, cache=False,
+                         checkpoint_dir=store.directory).run(
+            [JobSpec(workload, config, settings) for config in configs])
+        keys = {
+            "shared": [shared_key(workload, settings, w.index) for w in windows],
+            "window": [window_key(workload, settings, w.index) for w in windows],
+        }
+        for config in configs:
+            identity = (config, settings.sq_size, None)
+            keys[f"policy:{config}"] = [
+                policy_key(workload, settings, identity, w.index)
+                for w in windows]
+        kinds = {}
+        for kind, kind_keys in keys.items():
+            sizes, load_ms = [], []
+            for key in kind_keys:
+                blob = store._path(key).read_bytes()
+                payload = _unframe(blob)
+                start = time.perf_counter()
+                pickle.loads(payload)
+                load_ms.append((time.perf_counter() - start) * 1e3)
+                sizes.append(len(blob))
+            kinds[kind] = {
+                "count": len(kind_keys),
+                "mean_bytes": round(statistics.fmean(sizes)),
+                "median_unpickle_ms": round(statistics.median(load_ms), 3),
+            }
+        store_blobs = len(store)
+
+    return {
+        "workload": workload,
+        "configs": list(configs),
+        "sweep_instructions": instructions,
+        "intervals": len(windows),
+        "store_blobs": store_blobs,
+        "kinds": kinds,
+    }
+
+
+def assert_snapshot_blobs(data: dict) -> None:
+    """Every interval has one blob of each kind, and nothing else is stored."""
+    for kind, entry in data["kinds"].items():
+        assert entry["count"] == data["intervals"], (kind, data)
+    assert data["store_blobs"] == sum(
+        entry["count"] for entry in data["kinds"].values()), data
 
 
 def measure_sampled_artifact(instructions: int = None,

@@ -54,11 +54,13 @@ from bench_memory_mlp import (  # noqa: E402
 from bench_sampling_speedup import (  # noqa: E402
     assert_checkpointed_sweep,
     assert_sharded_generation,
+    assert_snapshot_blobs,
     assert_speedup,
     measure_checkpointed_sweep,
     measure_sampled_artifact,
     measure_sampling_speedup,
     measure_sharded_generation,
+    measure_snapshot_blobs,
 )
 
 from repro.exec import EnvKnobError, ExperimentEngine  # noqa: E402
@@ -194,7 +196,9 @@ def bench_sampling(_engine: ExperimentEngine) -> dict:
     that sweep's generation stage as one in-process pass vs one pass per
     policy group on the pool, on cold stores, asserts snapshot- and
     merged-result bit-identity, and records the stage speedup (>= 1.5x
-    asserted at >= 4 CPUs); the artifact half
+    asserted at >= 4 CPUs); the snapshot-blob half records the sweep
+    store's blob count, mean size and unpickle time per kind; the artifact
+    half
     runs a 10M-instruction Figure-4 cell sampled-only (relative time with
     a confidence interval) — the scale the subsystem exists to reach.
     """
@@ -204,6 +208,8 @@ def bench_sampling(_engine: ExperimentEngine) -> dict:
     assert_checkpointed_sweep(checkpointed_sweep)
     sharded_generation = measure_sharded_generation()
     assert_sharded_generation(sharded_generation)
+    snapshot_blobs = measure_snapshot_blobs()
+    assert_snapshot_blobs(snapshot_blobs)
     artifact = measure_sampled_artifact()
     assert artifact["intervals"] >= 2, artifact
     assert artifact["relative_time_ci_halfwidth"] > 0.0, artifact
@@ -215,7 +221,8 @@ def bench_sampling(_engine: ExperimentEngine) -> dict:
         assert artifact["relative_time_ci_halfwidth"] < 0.25 * artifact["relative_time"], artifact
         assert 0.7 < artifact["relative_time"] < 1.4, artifact
     return {"speedup": speedup, "checkpointed_sweep": checkpointed_sweep,
-            "sharded_generation": sharded_generation, "artifact": artifact}
+            "sharded_generation": sharded_generation,
+            "snapshot_blobs": snapshot_blobs, "artifact": artifact}
 
 
 BENCHES = (

@@ -23,6 +23,13 @@ Training (all at load commit):
 Distances are clamped to the SQ size: any delay distance larger than the SQ
 is effectively no delay at all (the store is guaranteed to have committed by
 the time the load could possibly execute).
+
+Layout: the DDP is one flat array of ways per field — ``_valid``,
+``_tag``, ``_counter``, ``_current_distance``, ``_future_distance``,
+``_instances`` and ``_lru`` — with way ``w`` of set ``s`` at slot
+``s * assoc + w``, so a checkpoint pickles seven lists of small ints
+rather than one object per way.
+:class:`DDPEntry` is only the read-only value :meth:`entries` hands out.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ from typing import List, Optional
 from repro.core.predictors import DDPConfig
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class DDPEntry:
-    """One DDP entry."""
+    """One DDP way, as a read-only value."""
 
     valid: bool = False
     tag: int = 0
@@ -69,9 +76,15 @@ class DelayDistancePredictor:
             raise ValueError("SQ size must be a positive power of two")
         self.sq_size = sq_size
         self.stats = DDPStats()
-        self._sets: List[List[DDPEntry]] = [
-            [DDPEntry() for _ in range(self.config.assoc)] for _ in range(self.config.sets)
-        ]
+        entries = self.config.entries
+        self._assoc = self.config.assoc
+        self._valid: List[bool] = [False] * entries
+        self._tag: List[int] = [0] * entries
+        self._counter: List[int] = [0] * entries
+        self._current_distance: List[int] = [0] * entries
+        self._future_distance: List[int] = [0] * entries
+        self._instances: List[int] = [0] * entries
+        self._lru: List[int] = [0] * entries
         self._set_mask = self.config.sets - 1
         self._tag_mask = (1 << self.config.tag_bits) - 1
         self._counter_max = (1 << self.config.counter_bits) - 1
@@ -81,19 +94,23 @@ class DelayDistancePredictor:
 
     # -- indexing ---------------------------------------------------------------
 
-    def _index(self, load_pc: int) -> int:
-        return (load_pc >> 2) & self._set_mask
+    def _find(self, load_pc: int) -> int:
+        """Slot holding this load's entry, or -1.
 
-    def _tag(self, load_pc: int) -> int:
-        return ((load_pc >> 2) >> self._tag_shift) & self._tag_mask
-
-    def _find(self, load_pc: int) -> Optional[DDPEntry]:
+        Per-load path (prediction and training): the set is walked with a
+        ``while`` loop, which costs about half of building a ``range`` per
+        call.
+        """
         pc = load_pc >> 2
         tag = (pc >> self._tag_shift) & self._tag_mask
-        for entry in self._sets[pc & self._set_mask]:
-            if entry.valid and entry.tag == tag:
-                return entry
-        return None
+        slot = (pc & self._set_mask) * self._assoc
+        end = slot + self._assoc
+        valid, tags = self._valid, self._tag
+        while slot < end:
+            if tags[slot] == tag and valid[slot]:
+                return slot
+            slot += 1
+        return -1
 
     # -- prediction -------------------------------------------------------------
 
@@ -105,16 +122,17 @@ class DelayDistancePredictor:
         (which can impose no effective delay).
         """
         self.stats.lookups += 1
-        entry = self._find(load_pc)
-        if entry is None:
+        slot = self._find(load_pc)
+        if slot < 0:
             return None
         self.stats.hits += 1
-        if entry.counter < self.config.counter_threshold:
+        if self._counter[slot] < self.config.counter_threshold:
             return None
-        if entry.current_distance >= self._no_delay_distance:
+        distance = self._current_distance[slot]
+        if distance >= self._no_delay_distance:
             return None
         self.stats.delays_predicted += 1
-        return entry.current_distance
+        return distance
 
     def delay_ssn(self, load_pc: int, ssn_rename: int) -> int:
         """``SSNdly`` for a load renamed when ``SSNren == ssn_rename``.
@@ -137,80 +155,91 @@ class DelayDistancePredictor:
         back to the actual most recent store to its address.
         """
         observed_distance = max(0, min(observed_distance, self._no_delay_distance))
-        entry = self._find(load_pc)
-        if entry is None:
+        slot = self._find(load_pc)
+        if slot < 0:
             self._insert(load_pc, observed_distance)
             return
         self.stats.learns += 1
-        entry.counter = min(self._counter_max, entry.counter + self.config.positive_weight)
+        self._counter[slot] = min(self._counter_max,
+                                  self._counter[slot] + self.config.positive_weight)
         # Conservatively keep the smallest (most conservative) distance.
-        if observed_distance < entry.current_distance:
-            entry.current_distance = observed_distance
-        if observed_distance < entry.future_distance:
-            entry.future_distance = observed_distance
-        self._tick(entry)
+        if observed_distance < self._current_distance[slot]:
+            self._current_distance[slot] = observed_distance
+        if observed_distance < self._future_distance[slot]:
+            self._future_distance[slot] = observed_distance
+        self._tick(slot)
 
     def train_correct_prediction(self, load_pc: int) -> None:
         """Train on a correct forwarding prediction (decrement the counter)."""
-        entry = self._find(load_pc)
-        if entry is None:
+        slot = self._find(load_pc)
+        if slot < 0:
             return
         self.stats.unlearns += 1
-        entry.counter = max(0, entry.counter - self.config.negative_weight)
-        self._tick(entry)
+        self._counter[slot] = max(0, self._counter[slot] - self.config.negative_weight)
+        self._tick(slot)
 
-    def _tick(self, entry: DDPEntry) -> None:
+    def _tick(self, slot: int) -> None:
         """Advance the per-entry instance counter; promote the future field
         every ``future_interval`` instances (distance down-training)."""
-        entry.instances += 1
-        if entry.instances >= self.config.future_interval:
-            entry.instances = 0
-            entry.current_distance = entry.future_distance
-            entry.future_distance = self._no_delay_distance
+        instances = self._instances[slot] + 1
+        if instances >= self.config.future_interval:
+            instances = 0
+            self._current_distance[slot] = self._future_distance[slot]
+            self._future_distance[slot] = self._no_delay_distance
             self.stats.promotions += 1
+        self._instances[slot] = instances
 
     def _insert(self, load_pc: int, distance: int) -> None:
-        index = self._index(load_pc)
-        tag = self._tag(load_pc)
-        ways = self._sets[index]
+        pc = load_pc >> 2
+        tag = (pc >> self._tag_shift) & self._tag_mask
+        base = (pc & self._set_mask) * self._assoc
+        ways = range(base, base + self._assoc)
         self.stats.inserts += 1
         self._lru_clock += 1
-        for entry in ways:
-            if not entry.valid:
-                self._fill(entry, tag, distance)
-                return
-        victim = min(ways, key=lambda e: (e.counter, e.lru))
-        self.stats.evictions += 1
-        self._fill(victim, tag, distance)
-
-    def _fill(self, entry: DDPEntry, tag: int, distance: int) -> None:
-        entry.valid = True
-        entry.tag = tag
-        entry.counter = min(self._counter_max, self.config.positive_weight)
-        entry.current_distance = distance
-        entry.future_distance = distance
-        entry.instances = 0
-        entry.lru = self._lru_clock
+        valid = self._valid
+        # Reuse an invalid way first.
+        for slot in ways:
+            if not valid[slot]:
+                break
+        else:
+            # Evict the way with the smallest counter (ties broken by LRU,
+            # then by way order).
+            counter, lru = self._counter, self._lru
+            slot = min(ways, key=lambda s: (counter[s], lru[s]))
+            self.stats.evictions += 1
+        valid[slot] = True
+        self._tag[slot] = tag
+        self._counter[slot] = min(self._counter_max, self.config.positive_weight)
+        self._current_distance[slot] = distance
+        self._future_distance[slot] = distance
+        self._instances[slot] = 0
+        self._lru[slot] = self._lru_clock
 
     # -- maintenance ------------------------------------------------------------
 
     def invalidate_all(self) -> None:
         """Clear the predictor."""
-        for ways in self._sets:
-            for entry in ways:
-                entry.valid = False
-                entry.counter = 0
+        entries = self.config.entries
+        self._valid[:] = [False] * entries
+        self._counter[:] = [0] * entries
 
     def occupancy(self) -> int:
-        return sum(1 for ways in self._sets for e in ways if e.valid)
+        return self._valid.count(True)
+
+    def entries(self) -> List[DDPEntry]:
+        """Every way's contents, valid or not, in ``set * assoc + way`` order."""
+        return [DDPEntry(self._valid[slot], self._tag[slot], self._counter[slot],
+                         self._current_distance[slot], self._future_distance[slot],
+                         self._instances[slot], self._lru[slot])
+                for slot in range(self.config.entries)]
 
     def state_signature(self) -> frozenset:
         """The set of (set index, tag, current distance) delays held
         (counters/LRU excluded; see the FSP's ``state_signature``)."""
+        assoc, tags, current = self._assoc, self._tag, self._current_distance
         return frozenset(
-            (index, entry.tag, entry.current_distance)
-            for index, ways in enumerate(self._sets)
-            for entry in ways if entry.valid)
+            (slot // assoc, tags[slot], current[slot])
+            for slot, valid in enumerate(self._valid) if valid)
 
     def storage_bits(self) -> int:
         """Approximate storage cost in bits (two distances + counter + tag)."""

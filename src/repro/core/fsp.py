@@ -15,24 +15,30 @@ unpredicted store PC, distance larger than the SQ, not-most-recent
 forwarding) lives in the indexed-SQ policy
 (:mod:`repro.lsu.policies`); this class provides the mechanical operations:
 lookup, strengthen, weaken, and insert.
+
+Layout: like the hardware table, the FSP is one flat array of ways per
+field — ``_valid``, ``_tag``, ``_store_pc``, ``_counter`` and ``_lru`` —
+with way ``w`` of set ``s`` at slot ``s * assoc + w``.  A checkpoint
+therefore pickles five lists of small ints, not one object per way.
+:class:`FSPEntry` is only the read-only value :meth:`lookup` and
+:meth:`entries` hand out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.predictors import FSPConfig
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class FSPEntry:
-    """One FSP entry."""
+    """One FSP way, as a read-only value."""
 
     valid: bool = False
     tag: int = 0
     store_pc: int = 0          # partial store PC (SAT index bits)
-    full_store_pc: int = 0     # full PC retained for statistics/debugging only
     counter: int = 0
     lru: int = 0
 
@@ -56,9 +62,13 @@ class ForwardingStorePredictor:
     def __init__(self, config: Optional[FSPConfig] = None) -> None:
         self.config = config or FSPConfig()
         self.stats = FSPStats()
-        self._sets: List[List[FSPEntry]] = [
-            [FSPEntry() for _ in range(self.config.assoc)] for _ in range(self.config.sets)
-        ]
+        entries = self.config.entries
+        self._assoc = self.config.assoc
+        self._valid: List[bool] = [False] * entries
+        self._tag: List[int] = [0] * entries
+        self._store_pc: List[int] = [0] * entries
+        self._counter: List[int] = [0] * entries
+        self._lru: List[int] = [0] * entries
         self._set_mask = self.config.sets - 1
         self._tag_mask = (1 << self.config.tag_bits) - 1
         self._store_pc_mask = (1 << self.config.store_pc_bits) - 1
@@ -68,36 +78,40 @@ class ForwardingStorePredictor:
 
     # -- indexing helpers -------------------------------------------------------
 
-    def _index(self, load_pc: int) -> int:
-        return (load_pc >> 2) & self._set_mask
-
-    def _tag(self, load_pc: int) -> int:
-        return ((load_pc >> 2) >> self._tag_shift) & self._tag_mask
+    def _locate(self, load_pc: int) -> Tuple[range, int]:
+        """The slots of a load PC's set and the tag it matches against."""
+        pc = load_pc >> 2
+        base = (pc & self._set_mask) * self._assoc
+        return range(base, base + self._assoc), (pc >> self._tag_shift) & self._tag_mask
 
     def partial_store_pc(self, store_pc: int) -> int:
         """Partial store PC as stored in an entry (and used to index the SAT)."""
         return (store_pc >> 2) & self._store_pc_mask
+
+    def _entry(self, slot: int) -> FSPEntry:
+        return FSPEntry(self._valid[slot], self._tag[slot], self._store_pc[slot],
+                        self._counter[slot], self._lru[slot])
 
     # -- prediction -------------------------------------------------------------
 
     def lookup(self, load_pc: int) -> List[FSPEntry]:
         """Return the (up to ``assoc``) matching entries for a load PC.
 
-        Only entries whose counter is non-negative... all matching valid
-        entries are returned; the counter is used for replacement decisions
-        and is consulted by callers that want to ignore weak entries.
+        All matching valid entries are returned, in way order; the counter
+        is used for replacement decisions and is consulted by callers that
+        want to ignore weak entries.  A hit stamps every matching way with
+        one new LRU time.
         """
         self.stats.lookups += 1
-        pc = load_pc >> 2
-        tag = (pc >> self._tag_shift) & self._tag_mask
-        matches = [e for e in self._sets[pc & self._set_mask]
-                   if e.valid and e.tag == tag]
+        ways, tag = self._locate(load_pc)
+        valid, tags = self._valid, self._tag
+        matches = [slot for slot in ways if valid[slot] and tags[slot] == tag]
         if matches:
             self.stats.hits += 1
             self._lru_clock += 1
-            for entry in matches:
-                entry.lru = self._lru_clock
-        return matches
+            for slot in matches:
+                self._lru[slot] = self._lru_clock
+        return [self._entry(slot) for slot in matches]
 
     def predicted_store_pcs(self, load_pc: int) -> List[int]:
         """Partial store PCs predicted for this load (for chained SAT access)."""
@@ -105,89 +119,101 @@ class ForwardingStorePredictor:
 
     # -- training ---------------------------------------------------------------
 
-    def _find(self, load_pc: int, store_pc: int) -> Optional[FSPEntry]:
-        index = self._index(load_pc)
-        tag = self._tag(load_pc)
+    def _find(self, load_pc: int, store_pc: int) -> int:
+        """Slot holding the load->store dependence, or -1.
+
+        Per-load training path: :meth:`_locate` is inlined and the set is
+        walked with a ``while`` loop, which costs about half of building a
+        ``range`` per call.
+        """
+        pc = load_pc >> 2
+        tag = (pc >> self._tag_shift) & self._tag_mask
+        slot = (pc & self._set_mask) * self._assoc
+        end = slot + self._assoc
         partial = self.partial_store_pc(store_pc)
-        for entry in self._sets[index]:
-            if entry.valid and entry.tag == tag and entry.store_pc == partial:
-                return entry
-        return None
+        valid, tags, store_pcs = self._valid, self._tag, self._store_pc
+        while slot < end:
+            if tags[slot] == tag and valid[slot] and store_pcs[slot] == partial:
+                return slot
+            slot += 1
+        return -1
 
     def strengthen(self, load_pc: int, store_pc: int) -> None:
         """Positive training: reinforce (or create) the load->store dependence."""
-        entry = self._find(load_pc, store_pc)
-        if entry is None:
+        slot = self._find(load_pc, store_pc)
+        if slot < 0:
             self.insert(load_pc, store_pc)
             return
         self.stats.strengthens += 1
-        entry.counter = min(self._counter_max, entry.counter + self.config.positive_weight)
+        self._counter[slot] = min(self._counter_max,
+                                  self._counter[slot] + self.config.positive_weight)
         self._lru_clock += 1
-        entry.lru = self._lru_clock
+        self._lru[slot] = self._lru_clock
+
+    def _weaken_slot(self, slot: int) -> None:
+        self.stats.weakens += 1
+        counter = self._counter[slot] - self.config.negative_weight
+        if counter < 0:
+            self._valid[slot] = False
+            counter = 0
+            self.stats.invalidations += 1
+        self._counter[slot] = counter
 
     def weaken(self, load_pc: int, store_pc: int) -> None:
         """Negative training: weaken the dependence; invalidate when exhausted."""
-        entry = self._find(load_pc, store_pc)
-        if entry is None:
-            return
-        self.stats.weakens += 1
-        entry.counter -= self.config.negative_weight
-        if entry.counter < 0:
-            entry.valid = False
-            entry.counter = 0
-            self.stats.invalidations += 1
+        slot = self._find(load_pc, store_pc)
+        if slot >= 0:
+            self._weaken_slot(slot)
 
     def weaken_all(self, load_pc: int) -> None:
         """Weaken every dependence recorded for this load PC."""
-        index = self._index(load_pc)
-        tag = self._tag(load_pc)
-        for entry in self._sets[index]:
-            if entry.valid and entry.tag == tag:
-                self.stats.weakens += 1
-                entry.counter -= self.config.negative_weight
-                if entry.counter < 0:
-                    entry.valid = False
-                    entry.counter = 0
-                    self.stats.invalidations += 1
+        pc = load_pc >> 2
+        tag = (pc >> self._tag_shift) & self._tag_mask
+        slot = (pc & self._set_mask) * self._assoc
+        end = slot + self._assoc
+        valid, tags = self._valid, self._tag
+        while slot < end:
+            if tags[slot] == tag and valid[slot]:
+                self._weaken_slot(slot)
+            slot += 1
 
     def insert(self, load_pc: int, store_pc: int) -> None:
         """Install a new load->store dependence, evicting the weakest way."""
-        index = self._index(load_pc)
-        tag = self._tag(load_pc)
+        ways, tag = self._locate(load_pc)
         partial = self.partial_store_pc(store_pc)
-        ways = self._sets[index]
         self.stats.inserts += 1
         self._lru_clock += 1
+        valid = self._valid
         # Reuse an invalid way first.
-        for entry in ways:
-            if not entry.valid:
-                entry.valid = True
-                entry.tag = tag
-                entry.store_pc = partial
-                entry.full_store_pc = store_pc
-                entry.counter = self.config.positive_weight
-                entry.lru = self._lru_clock
-                return
-        # Evict the entry with the smallest counter (ties broken by LRU).
-        victim = min(ways, key=lambda e: (e.counter, e.lru))
-        self.stats.evictions += 1
-        victim.tag = tag
-        victim.store_pc = partial
-        victim.full_store_pc = store_pc
-        victim.counter = self.config.positive_weight
-        victim.lru = self._lru_clock
+        for slot in ways:
+            if not valid[slot]:
+                break
+        else:
+            # Evict the way with the smallest counter (ties broken by LRU,
+            # then by way order).
+            counter, lru = self._counter, self._lru
+            slot = min(ways, key=lambda s: (counter[s], lru[s]))
+            self.stats.evictions += 1
+        valid[slot] = True
+        self._tag[slot] = tag
+        self._store_pc[slot] = partial
+        self._counter[slot] = self.config.positive_weight
+        self._lru[slot] = self._lru_clock
 
     def invalidate_all(self) -> None:
         """Clear the predictor (SSN wrap handling clears SSN-free state too
         conservatively; provided mainly for tests and wrap modelling)."""
-        for ways in self._sets:
-            for entry in ways:
-                entry.valid = False
-                entry.counter = 0
+        entries = self.config.entries
+        self._valid[:] = [False] * entries
+        self._counter[:] = [0] * entries
 
     def occupancy(self) -> int:
         """Number of valid entries (for diagnostics)."""
-        return sum(1 for ways in self._sets for e in ways if e.valid)
+        return self._valid.count(True)
+
+    def entries(self) -> List[FSPEntry]:
+        """Every way's contents, valid or not, in ``set * assoc + way`` order."""
+        return [self._entry(slot) for slot in range(self.config.entries)]
 
     def state_signature(self) -> frozenset:
         """The set of (set index, tag, partial store PC) dependences held.
@@ -196,10 +222,10 @@ class ForwardingStorePredictor:
         prediction, and functional warming trains them at a different rate
         than detailed execution.  Warming tests compare dependence *sets*.
         """
+        assoc, tags, store_pcs = self._assoc, self._tag, self._store_pc
         return frozenset(
-            (index, entry.tag, entry.store_pc)
-            for index, ways in enumerate(self._sets)
-            for entry in ways if entry.valid)
+            (slot // assoc, tags[slot], store_pcs[slot])
+            for slot, valid in enumerate(self._valid) if valid)
 
     def storage_bits(self) -> int:
         """Approximate storage cost in bits (Section 4.1 sizing discussion)."""

@@ -287,14 +287,32 @@ class AssociativeStoreSetsPolicy(SQPolicy):
                 self.stats.loads_predicted_forwarding += 1
             return LoadPrediction(fwd_ssn=ssn, predict_forward=predict_forward)
 
-        entries = self.fsp.lookup(load_pc)
+        # The FSP set walk is inlined as in IndexedSQPolicy.predict_load
+        # (same stats and LRU sequencing as fsp.lookup, no entry values).
+        fsp = self.fsp
+        fsp.stats.lookups += 1
+        word = load_pc >> 2
+        tag = (word >> fsp._tag_shift) & fsp._tag_mask
+        slot = (word & fsp._set_mask) * fsp._assoc
+        end = slot + fsp._assoc
+        valid = fsp._valid
+        tags = fsp._tag
         best_ssn = 0
         best_pc: Optional[int] = None
-        for entry in entries:
-            ssn = self.sat.lookup_partial(entry.store_pc)
-            if ssn > best_ssn:
-                best_ssn = ssn
-                best_pc = entry.store_pc
+        matched = False
+        while slot < end:
+            if tags[slot] == tag and valid[slot]:
+                if not matched:
+                    matched = True
+                    fsp.stats.hits += 1
+                    fsp._lru_clock += 1
+                fsp._lru[slot] = fsp._lru_clock
+                store_pc = fsp._store_pc[slot]
+                ssn = self.sat.lookup_partial(store_pc)
+                if ssn > best_ssn:
+                    best_ssn = ssn
+                    best_pc = store_pc
+            slot += 1
         predict_forward = best_ssn > ssn_cmt
         if predict_forward:
             self.stats.loads_predicted_forwarding += 1
@@ -433,6 +451,10 @@ class IndexedSQPolicy(SQPolicy):
         fsp.stats.lookups += 1
         word = load_pc >> 2
         tag = (word >> fsp._tag_shift) & fsp._tag_mask
+        slot = (word & fsp._set_mask) * fsp._assoc
+        end = slot + fsp._assoc
+        valid = fsp._valid
+        tags = fsp._tag
         sat = self.sat
         sat_table = sat._table
         sat_mask = sat._index_mask
@@ -440,19 +462,20 @@ class IndexedSQPolicy(SQPolicy):
         best_ssn = 0
         best_pc: Optional[int] = None
         matched = False
-        for entry in fsp._sets[word & fsp._set_mask]:
-            if entry.valid and entry.tag == tag:
+        while slot < end:
+            if tags[slot] == tag and valid[slot]:
                 if not matched:
                     matched = True
                     fsp.stats.hits += 1
                     fsp._lru_clock += 1
-                entry.lru = fsp._lru_clock
+                fsp._lru[slot] = fsp._lru_clock
                 sat_stats.lookups += 1
-                store_pc = entry.store_pc
+                store_pc = fsp._store_pc[slot]
                 ssn = sat_table[store_pc & sat_mask]
                 if ssn > best_ssn:
                     best_ssn = ssn
                     best_pc = store_pc
+            slot += 1
         predict_forward = best_ssn > ssn_cmt
         if predict_forward:
             self.stats.loads_predicted_forwarding += 1

@@ -89,7 +89,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: prefetcher table, prefetched-line set) when ``core.memory.mlp`` is
 #: enabled; the ``core`` key already distinguishes MLP configurations, but
 #: the payload class set changed, so old readers are keyed away.
-CHECKPOINT_SCHEMA_VERSION = 4
+#: v5: the FSP and DDP in policy snapshots are pickled as flat per-field
+#: lists indexed ``set * assoc + way``, not as lists of per-way entry
+#: objects.
+CHECKPOINT_SCHEMA_VERSION = 5
 
 #: A policy identity: (configuration name, SQ size, predictor overrides).
 PolicyIdentity = Tuple[str, int, Optional["PredictorSuiteConfig"]]

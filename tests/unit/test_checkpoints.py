@@ -18,6 +18,7 @@ import pytest
 from repro.exec import ExperimentEngine, IntervalJobSpec, JobSpec, job_key
 from repro.exec import fingerprint as fingerprint_module
 from repro.harness.runner import ExperimentSettings, make_policy
+from repro.lsu.policies import IndexedSQPolicy
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import OutOfOrderCore
 from repro.sampling import SamplingPlan
@@ -158,6 +159,38 @@ class TestExportImportRoundTrip:
             result = core.run(window, warm_memory=False)
             results.append(result.stats.as_dict())
         assert results[0] == results[1]
+
+
+class TestPolicySnapshotSize:
+    """A warmed indexed-SQ policy snapshot stays small and exact.
+
+    The FSP and DDP (4K entries each) are flat per-field lists, so the
+    pickled policy is dominated by small ints rather than one object per
+    way; a layout with one object per way pickled this policy to about 396 KB.
+    """
+
+    MAX_BYTES = 128 * 1024
+
+    @pytest.fixture(scope="class")
+    def warmed_policy(self):
+        policy = IndexedSQPolicy()
+        warmer = FunctionalWarmer(CoreConfig(), policy)
+        warmer.warm(build_workload(WORKLOAD, 6_000, seed=1))
+        assert policy.fsp.occupancy() > 0 and policy.ddp.occupancy() > 0
+        return policy
+
+    def test_pickled_policy_fits_the_budget(self, warmed_policy):
+        blob = pickle.dumps(warmed_policy, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) <= self.MAX_BYTES, len(blob)
+
+    def test_round_trip_keeps_every_way(self, warmed_policy):
+        loaded = pickle.loads(
+            pickle.dumps(warmed_policy, protocol=pickle.HIGHEST_PROTOCOL))
+        assert loaded.state_signature() == warmed_policy.state_signature()
+        assert loaded.fsp.entries() == warmed_policy.fsp.entries()
+        assert loaded.ddp.entries() == warmed_policy.ddp.entries()
+        assert loaded.fsp.stats == warmed_policy.fsp.stats
+        assert loaded.ddp.stats == warmed_policy.ddp.stats
 
 
 class TestStoreInvalidation:
